@@ -7,26 +7,37 @@ approximate method screens all pairs, then the exact method refines
 only the survivors.  :func:`top_k_pairs` packages that pipeline over an
 arbitrary community collection.
 
-Both phases execute on the :class:`~repro.engine.BatchEngine`: the
-all-pairs screen and the refinement pool become batches of
-:class:`~repro.engine.PairJob` entries, which gives this operator the
-envelope pre-screen, the join-result cache and multi-process execution
-(``n_jobs``) for free.  ``top_k_pairs_reference`` preserves the
-pre-engine serial loop as a differential-testing oracle and as the
-baseline the engine benchmarks measure against.
+Filtering and verification are separate steps.  The per-dimension
+envelope screen first proves most pairs' similarity 0 without a join;
+only the pairs it cannot rule out become
+:class:`~repro.engine.PairJob` entries on the
+:class:`~repro.engine.BatchEngine` (which brings the join-result cache
+and multi-process execution, ``n_jobs``), and the proven-zero pairs
+are ranked from a lazy similarity-0 tail.  ``top_k_pairs_reference``
+preserves the pre-engine serial loop as a differential-testing oracle
+and as the baseline the engine benchmarks measure against.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import itertools
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator, Mapping, Sequence
+
+import numpy as np
 
 from ..algorithms import ALGORITHMS, get_algorithm
-from ..catalog import CatalogRecord, PersistentCatalog
-from ..core.errors import ConfigurationError
+from ..catalog import PersistentCatalog
+from ..core.errors import (
+    ConfigurationError,
+    DimensionMismatchError,
+    UnknownAlgorithmError,
+)
 from ..core.types import Community, CSJResult, EventCounts
+from ..core.validation import validate_epsilon
 from ..engine import (
     BatchEngine,
     CheckpointLog,
@@ -36,6 +47,7 @@ from ..engine import (
     canonical_options,
 )
 from ..engine.batch import SCREEN_ENGINE
+from ..engine.envelope import community_envelope, separation_matrix, stack_envelopes
 from ..obs import JoinTelemetry, MetricsRegistry
 from ..sketch import SketchPrefilter
 
@@ -63,6 +75,12 @@ def _ratio_ok(n_first: int, n_second: int) -> bool:
 
 def _joinable(first: Community, second: Community) -> bool:
     return _ratio_ok(len(first), len(second))
+
+
+def _joinable_mask(sizes: Sequence[int]) -> np.ndarray:
+    """Upper-triangular ``(C, C)`` mask of the size-ratio-joinable pairs."""
+    n = np.asarray(sizes, dtype=np.int64)
+    return np.triu((2 * n[:, None] >= n[None, :]) & (2 * n[None, :] >= n[:, None]), 1)
 
 
 def _validate(communities: list[Community], k: int, screen_margin: float) -> None:
@@ -102,24 +120,29 @@ def top_k_pairs(
 ) -> list[PairScore]:
     """The k most similar pairs among ``communities``.
 
-    Every unordered pair satisfying the CSJ size-ratio rule is screened
-    with the approximate method; the best ``ceil(k / screen_margin)``
-    survivors are refined exactly, and the top ``k`` refined pairs are
-    returned sorted by descending similarity (name tie-break).
+    Every unordered pair satisfying the CSJ size-ratio rule is ranked.
+    With ``envelope_screen`` (the default), pairs whose per-dimension
+    min/max envelopes prove a zero similarity are ranked at 0 without
+    a join; every other pair is screened with the approximate method.
+    The best ``k / screen_margin`` entries of that ranking form the
+    refinement pool: its envelope survivors are joined exactly, and
+    the top ``k`` refined pairs are returned sorted by descending
+    similarity (name tie-break).  Turning the envelope screen off
+    joins every pair and leaves the ranking unchanged.
 
     ``screen_margin`` < 1 widens the refinement pool to protect against
     approximate underestimation promoting the wrong pairs.
 
-    ``n_jobs`` > 1 distributes the joins across worker processes;
+    ``n_jobs`` > 1 distributes the joins across worker processes and
     ``cache`` (an :class:`~repro.engine.JoinResultCache`, or an int
-    capacity) memoises joins across calls; ``envelope_screen`` skips
-    pairs whose min/max envelopes prove a zero similarity.  All three
-    leave the returned ranking identical to the serial computation.
-    With ``metrics`` attached, per-join records for both phases are
-    appended to ``telemetry`` (when given).  ``fault_policy`` supervises
-    both phases (timeouts / retries / quarantine) and ``checkpoint``
-    makes completed joins durable so a killed ranking resumes without
-    recomputing finished pairs.
+    capacity) memoises joins across calls; both leave the returned
+    ranking identical to the serial computation.  With ``metrics``
+    attached, the engine's per-join records for both phases are
+    appended to ``telemetry`` (when given); envelope-ruled-out pairs
+    never reach the engine and have no record.  ``fault_policy``
+    supervises both phases (timeouts / retries / quarantine) and
+    ``checkpoint`` makes completed joins durable so a killed ranking
+    resumes without recomputing finished pairs.
 
     ``prefilter`` (a :class:`~repro.sketch.SketchPrefilter`) gates both
     phases through the sketch tier's candidate generator; with a lossy
@@ -129,116 +152,206 @@ def top_k_pairs(
 
     ``communities`` may also be a
     :class:`~repro.catalog.PersistentCatalog` (optionally restricted to
-    ``keys``): the candidate screen then runs as the catalog's indexed
+    ``keys``): the envelope screen then runs as the catalog's indexed
     window query and only the surviving communities' vectors are loaded
-    from disk — pairs the envelopes rule out are ranked at similarity 0
-    from metadata alone, so a sweep over thousands of on-disk
-    communities touches O(survivors) vector rows.  Communities are
-    ranked under their catalog keys (keys are unique; stored display
-    names may not be).  The returned ranking is identical to loading
-    everything and calling this function with the in-memory list.
+    from disk, so a sweep over thousands of on-disk communities touches
+    O(survivors) vector rows.  Communities are ranked under their
+    catalog keys (keys are unique; stored display names may not be).
+    The returned ranking is identical to loading everything and calling
+    this function with the in-memory list.
     """
+    epsilon = validate_epsilon(epsilon)
+    for method in (screen_method, refine_method):
+        if method.strip().lower() not in ALGORITHMS:
+            raise UnknownAlgorithmError(method, tuple(ALGORITHMS))
     if isinstance(communities, PersistentCatalog):
-        return _top_k_pairs_catalog(
-            communities,
-            epsilon=epsilon,
-            k=k,
-            screen_method=screen_method,
-            refine_method=refine_method,
-            screen_margin=screen_margin,
-            n_jobs=n_jobs,
-            cache=cache,
-            envelope_screen=envelope_screen,
-            metrics=metrics,
-            telemetry=telemetry,
-            fault_policy=fault_policy,
-            checkpoint=checkpoint,
-            prefilter=prefilter,
-            keys=keys,
-            **options,
-        )
-    if keys is not None:
-        raise ConfigurationError(
-            "keys= only applies when ranking from a PersistentCatalog"
-        )
-    _validate(communities, k, screen_margin)
-    job_options = canonical_options(options)
-    joinable = [
-        (i, j)
-        for i, j in itertools.combinations(range(len(communities)), 2)
-        if _joinable(communities[i], communities[j])
-    ]
+        _validate([], k, screen_margin)
+        catalog = communities
+        names = sorted(set(keys)) if keys is not None else catalog.keys()
+        sizes = [catalog.metadata(key).n_users for key in names]
+        joinable = _joinable_mask(sizes)
+        live = joinable
+        if envelope_screen:
+            row = {key: index for index, key in enumerate(names)}
+            candidates = np.zeros_like(joinable)
+            for first, second in catalog.candidate_pairs(epsilon, keys=names):
+                candidates[row[first], row[second]] = True
+            live = joinable & candidates
+        # The only vector loads of the whole ranking: one per live community.
+        needed = np.flatnonzero(live.any(axis=0) | live.any(axis=1)).tolist()
+        roster = []
+        for index in needed:
+            community = catalog.get(names[index])
+            if community.name != names[index]:
+                community = dataclasses.replace(community, name=names[index])
+            roster.append(community)
+        slots: Mapping[int, int] | Sequence[int] = {
+            index: slot for slot, index in enumerate(needed)
+        }
+    else:
+        if keys is not None:
+            raise ConfigurationError(
+                "keys= only applies when ranking from a PersistentCatalog"
+            )
+        _validate(communities, k, screen_margin)
+        for community in communities[1:]:
+            if community.n_dims != communities[0].n_dims:
+                raise DimensionMismatchError(communities[0].n_dims, community.n_dims)
+        names = [community.name for community in communities]
+        sizes = [community.n_users for community in communities]
+        joinable = _joinable_mask(sizes)
+        live = joinable
+        if envelope_screen and joinable.any():
+            mins, maxs = stack_envelopes(
+                [community_envelope(community) for community in communities]
+            )
+            live = joinable & ~separation_matrix(mins, maxs, epsilon)
+            if metrics is not None:
+                tested = int(joinable.sum())
+                metrics.inc("repro_engine_envelope_tests_total", tested)
+                metrics.inc(
+                    "repro_engine_envelope_separations_total", tested - int(live.sum())
+                )
+        roster, slots = communities, range(len(communities))
     with BatchEngine(
-        communities,
+        roster,
         n_jobs=n_jobs,
-        screen=envelope_screen,
+        screen=False,
         cache=cache,
         metrics=metrics,
         fault_policy=fault_policy,
         checkpoint=checkpoint,
         prefilter=prefilter,
     ) as engine:
-        screen_jobs = [
-            PairJob(i, j, screen_method, epsilon, job_options) for i, j in joinable
-        ]
-        screened: list[tuple[float, int, int]] = [
-            (outcome.result.similarity, job.first, job.second)
-            for job, outcome in zip(screen_jobs, engine.run(screen_jobs))
-        ]
-        screened.sort(
-            key=lambda entry: (
-                -entry[0],
-                communities[entry[1]].name,
-                communities[entry[2]].name,
-            )
+        scores = _rank_pairs(
+            names,
+            sizes,
+            joinable,
+            live,
+            engine,
+            slots,
+            epsilon=epsilon,
+            k=k,
+            screen_method=screen_method,
+            refine_method=refine_method,
+            screen_margin=screen_margin,
+            job_options=canonical_options(options),
         )
-        pool = screened[: _pool_size(len(screened), k, screen_margin)]
-        refine_jobs = [
-            PairJob(first, second, refine_method, epsilon, job_options)
-            for _, first, second in pool
-        ]
-        refined: list[PairScore] = []
-        for job, outcome in zip(refine_jobs, engine.run(refine_jobs)):
-            result = outcome.result
-            oriented = (
-                (job.second, job.first) if result.swapped else (job.first, job.second)
-            )
-            refined.append(
-                PairScore(
-                    name_b=communities[oriented[0]].name,
-                    name_a=communities[oriented[1]].name,
-                    similarity=result.similarity,
-                    result=result,
-                )
-            )
         if telemetry is not None:
             telemetry.extend(engine.telemetry)
-    refined.sort(key=lambda score: (-score.similarity, score.name_b, score.name_a))
-    return refined[:k]
+    return scores
+
+
+def _rank_pairs(
+    names: Sequence[str],
+    sizes: Sequence[int],
+    joinable: np.ndarray,
+    live: np.ndarray,
+    engine: BatchEngine,
+    slots: Mapping[int, int] | Sequence[int],
+    *,
+    epsilon: int,
+    k: int,
+    screen_method: str,
+    refine_method: str,
+    screen_margin: float,
+    job_options: tuple,
+) -> list[PairScore]:
+    """Screen, merge and refine one source's pairs.
+
+    Pair ``(i, j)`` with ``i < j`` indexes ``names``/``sizes`` in source
+    order; ``joinable`` and ``live`` are upper-triangular masks over
+    those indices, and job index ``slots[i]`` names community ``i`` in
+    the engine (needed only when it belongs to a live pair).  Live
+    pairs alone become engine jobs.  Their screened ranking merges with
+    a lazy similarity-0 tail of the other joinable pairs, the
+    refinement pool's live pairs are joined exactly, and its tail pairs
+    become :func:`_zero_score` results.
+    """
+
+    def run(pairs: list[tuple[int, int]], method: str) -> list[CSJResult]:
+        jobs = [
+            PairJob(slots[first], slots[second], method, epsilon, job_options)
+            for first, second in pairs
+        ]
+        return [outcome.result for outcome in engine.run(jobs)] if jobs else []
+
+    def rank(entry: tuple[float, int, int]) -> tuple[float, str, str]:
+        return (-entry[0], names[entry[1]], names[entry[2]])
+
+    firsts, seconds = np.nonzero(live)
+    live_pairs = list(zip(firsts.tolist(), seconds.tolist()))
+    screen_results = run(live_pairs, screen_method)
+    screened = sorted(
+        (
+            (result.similarity, first, second)
+            for (first, second), result in zip(live_pairs, screen_results)
+        ),
+        key=rank,
+    )
+    merged = heapq.merge(screened, _zero_tail(names, joinable & ~live), key=rank)
+    pool_size = _pool_size(int(joinable.sum()), k, screen_margin)
+    pool = list(itertools.islice(merged, pool_size))
+    refine_pairs = [(first, second) for _, first, second in pool if live[first, second]]
+    refined = dict(zip(refine_pairs, run(refine_pairs, refine_method)))
+    scores: list[PairScore] = []
+    for _, first, second in pool:
+        result = refined.get((first, second))
+        if result is None:
+            scores.append(
+                _zero_score(
+                    (names[first], names[second]),
+                    (sizes[first], sizes[second]),
+                    method=refine_method,
+                    epsilon=epsilon,
+                )
+            )
+        else:
+            b, a = (second, first) if result.swapped else (first, second)
+            scores.append(PairScore(names[b], names[a], result.similarity, result))
+    scores.sort(key=lambda score: (-score.similarity, score.name_b, score.name_a))
+    return scores[:k]
+
+
+def _zero_tail(
+    names: Sequence[str], tail: np.ndarray
+) -> Iterator[tuple[float, int, int]]:
+    """``(0.0, i, j)`` for every pair ``tail`` marks, lazily, in name order.
+
+    Pair ``(i, j)`` with ``i < j`` is named ``(names[i], names[j])``;
+    the entries come out sorted on those names, the order the ranking
+    merges on, even when the source order is not name order.
+    """
+    order = sorted(range(len(names)), key=names.__getitem__)
+    by_name = tail[:, order]
+    for first in order:
+        for column in np.flatnonzero(by_name[first]):
+            yield (0.0, first, order[column])
 
 
 def _zero_score(
-    first: CatalogRecord,
-    second: CatalogRecord,
+    names: tuple[str, str],
+    sizes: tuple[int, int],
     *,
     method: str,
     epsilon: int,
 ) -> PairScore:
-    """A similarity-0 score synthesised from two metadata records.
+    """The similarity-0 score of a pair the envelopes ruled out.
 
-    Mirrors the engine's screened-result convention exactly (method
-    name, exactness, orientation, the ``envelope-screen`` engine label)
-    so rankings mixing computed and screened pairs sort identically to
-    the in-memory path.
+    Built from the pair's names and sizes alone, it mirrors the
+    engine's screened-result convention exactly (method name,
+    exactness, orientation, the ``envelope-screen`` engine label) so
+    rankings mixing computed and screened pairs sort identically
+    whichever source produced them.
     """
     algorithm_cls = ALGORITHMS[method.strip().lower()]
-    swapped = first.n_users > second.n_users
-    community_b, community_a = (second, first) if swapped else (first, second)
+    swapped = sizes[0] > sizes[1]
+    b, a = (1, 0) if swapped else (0, 1)
     result = CSJResult(
         method=algorithm_cls.name,
         exact=algorithm_cls.exact,
-        size_b=community_b.n_users,
-        size_a=community_a.n_users,
+        size_b=sizes[b],
+        size_a=sizes[a],
         epsilon=int(epsilon),
         pairs=[],
         events=EventCounts(),
@@ -246,120 +359,7 @@ def _zero_score(
         engine=SCREEN_ENGINE,
         swapped=swapped,
     )
-    return PairScore(
-        name_b=community_b.key,
-        name_a=community_a.key,
-        similarity=0.0,
-        result=result,
-    )
-
-
-def _top_k_pairs_catalog(
-    catalog: PersistentCatalog,
-    *,
-    epsilon: int,
-    k: int,
-    screen_method: str,
-    refine_method: str,
-    screen_margin: float,
-    n_jobs: int,
-    cache: JoinResultCache | int | None,
-    envelope_screen: bool,
-    metrics: MetricsRegistry | None,
-    telemetry: list[JoinTelemetry] | None,
-    fault_policy: FaultPolicy | None,
-    checkpoint: CheckpointLog | str | Path | None,
-    prefilter: SketchPrefilter | None,
-    keys: list[str] | None,
-    **options: object,
-) -> list[PairScore]:
-    """Catalog-backed top-k: screen in SQL, load only the survivors."""
-    _validate([], k, screen_margin)
-    selected = sorted(set(keys)) if keys is not None else catalog.keys()
-    records = {key: catalog.metadata(key) for key in selected}
-    joinable = [
-        (selected[i], selected[j])
-        for i, j in itertools.combinations(range(len(selected)), 2)
-        if _ratio_ok(records[selected[i]].n_users, records[selected[j]].n_users)
-    ]
-    if envelope_screen:
-        surviving = set(catalog.candidate_pairs(epsilon, keys=selected))
-    else:
-        surviving = set(joinable)
-    live_pairs = [pair for pair in joinable if pair in surviving]
-    needed = sorted({key for pair in live_pairs for key in pair})
-    # The only vector loads of the whole ranking: one per survivor.
-    loaded: dict[str, Community] = {}
-    for key in needed:
-        community = catalog.get(key)
-        if community.name != key:
-            community = dataclasses.replace(community, name=key)
-        loaded[key] = community
-    roster = [loaded[key] for key in needed]
-    index_of = {key: index for index, key in enumerate(needed)}
-    job_options = canonical_options(options)
-
-    def run_jobs(pairs: list[tuple[str, str]], method: str) -> list[CSJResult]:
-        if not pairs:
-            return []
-        jobs = [
-            PairJob(index_of[first], index_of[second], method, epsilon, job_options)
-            for first, second in pairs
-        ]
-        with BatchEngine(
-            roster,
-            n_jobs=n_jobs,
-            screen=envelope_screen,
-            cache=cache,
-            metrics=metrics,
-            fault_policy=fault_policy,
-            checkpoint=checkpoint,
-            prefilter=prefilter,
-        ) as engine:
-            outcomes = engine.run(jobs)
-            if telemetry is not None:
-                telemetry.extend(engine.telemetry)
-        return [outcome.result for outcome in outcomes]
-
-    screen_results = dict(zip(live_pairs, run_jobs(live_pairs, screen_method)))
-    screened = [
-        (
-            screen_results[pair].similarity if pair in screen_results else 0.0,
-            pair[0],
-            pair[1],
-        )
-        for pair in joinable
-    ]
-    screened.sort(key=lambda entry: (-entry[0], entry[1], entry[2]))
-    pool = screened[: _pool_size(len(screened), k, screen_margin)]
-    refine_pairs = [
-        (first, second) for _, first, second in pool if (first, second) in surviving
-    ]
-    refine_results = dict(zip(refine_pairs, run_jobs(refine_pairs, refine_method)))
-    refined: list[PairScore] = []
-    for _, first, second in pool:
-        result = refine_results.get((first, second))
-        if result is None:
-            refined.append(
-                _zero_score(
-                    records[first],
-                    records[second],
-                    method=refine_method,
-                    epsilon=epsilon,
-                )
-            )
-            continue
-        name_b, name_a = (second, first) if result.swapped else (first, second)
-        refined.append(
-            PairScore(
-                name_b=name_b,
-                name_a=name_a,
-                similarity=result.similarity,
-                result=result,
-            )
-        )
-    refined.sort(key=lambda score: (-score.similarity, score.name_b, score.name_a))
-    return refined[:k]
+    return PairScore(names[b], names[a], 0.0, result)
 
 
 def top_k_pairs_reference(

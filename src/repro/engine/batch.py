@@ -42,13 +42,7 @@ from ..obs import JoinTelemetry, MetricsRegistry
 from ..obs.timers import stage_timer
 from .cache import JoinKey, JoinResultCache, canonical_options, decoded_options, join_key
 from .checkpoint import CheckpointLog
-from .envelope import (
-    Envelope,
-    community_envelope,
-    envelopes_separated,
-    separation_matrix,
-    stack_envelopes,
-)
+from .envelope import Envelope, community_envelope, envelopes_separated
 from .faults import (
     FaultPolicy,
     FaultSpec,
@@ -72,11 +66,6 @@ SKETCH_ENGINE = "sketch-screen"
 
 #: Label recorded in ``CSJResult.engine`` for quarantined (failed) jobs.
 QUARANTINE_ENGINE = "quarantined"
-
-#: Job lists at least this long screen via one broadcast
-#: :func:`~repro.engine.envelope.separation_matrix` call instead of
-#: per-pair Python-level envelope tests.
-VECTOR_SCREEN_MIN_JOBS = 16
 
 
 class Disposition(enum.Enum):
@@ -432,38 +421,6 @@ class BatchEngine:
         exact = self.prefilter.is_exact if self.prefilter is not None else False
         return self._synthetic_result(job, swapped, SKETCH_ENGINE, exact=exact)
 
-    def _screen_verdicts(
-        self, jobs: list[PairJob]
-    ) -> dict[tuple[int, int, int], bool] | None:
-        """Batch all-pairs envelope verdicts for long job lists.
-
-        Groups jobs by epsilon, stacks the involved communities'
-        envelopes into ``(C, d)`` matrices and evaluates the whole
-        separation square in one broadcast op.  Returns ``None`` when
-        the scalar per-pair path is cheaper (short lists) or the screen
-        is off; verdicts are keyed ``(epsilon, first, second)`` and are
-        bit-identical to :func:`envelopes_separated` (the tests assert
-        parity), so the fast path never changes results — the per-job
-        metric counters are incremented by the caller exactly as on the
-        scalar path.
-        """
-        if not self.screen or len(jobs) < VECTOR_SCREEN_MIN_JOBS:
-            return None
-        by_epsilon: dict[int, set[tuple[int, int]]] = {}
-        for job in jobs:
-            by_epsilon.setdefault(job.epsilon, set()).add((job.first, job.second))
-        verdicts: dict[tuple[int, int, int], bool] = {}
-        for epsilon, pairs in by_epsilon.items():
-            indices = sorted({index for pair in pairs for index in pair})
-            mins, maxs = stack_envelopes([self.envelope(i) for i in indices])
-            separated = separation_matrix(mins, maxs, epsilon)
-            rows = {index: row for row, index in enumerate(indices)}
-            for first, second in pairs:
-                verdicts[(epsilon, first, second)] = bool(
-                    separated[rows[first], rows[second]]
-                )
-        return verdicts
-
     # -- execution -----------------------------------------------------
     def run(self, jobs: Iterable[PairJob]) -> list[PairOutcome]:
         """Resolve every job, preserving input order in the output."""
@@ -471,7 +428,6 @@ class BatchEngine:
         outcomes: list[PairOutcome | None] = [None] * len(jobs)
         pending: list[tuple[int, PairJob, JoinKey | None, bool]] = []
         with stage_timer(self.metrics, "batch.plan"):
-            verdicts = self._screen_verdicts(jobs)
             for position, job in enumerate(jobs):
                 first = self.communities[job.first]
                 second = self.communities[job.second]
@@ -492,23 +448,12 @@ class BatchEngine:
                     )
                     continue
                 if self.screen:
-                    if verdicts is not None:
-                        separated = verdicts[(job.epsilon, job.first, job.second)]
-                        # Same counters the scalar path increments inside
-                        # envelopes_separated — metric parity either way.
-                        if self.metrics is not None:
-                            self.metrics.inc("repro_engine_envelope_tests_total")
-                            if separated:
-                                self.metrics.inc(
-                                    "repro_engine_envelope_separations_total"
-                                )
-                    else:
-                        separated = envelopes_separated(
-                            self.envelope(job.first),
-                            self.envelope(job.second),
-                            job.epsilon,
-                            metrics=self.metrics,
-                        )
+                    separated = envelopes_separated(
+                        self.envelope(job.first),
+                        self.envelope(job.second),
+                        job.epsilon,
+                        metrics=self.metrics,
+                    )
                     if separated:
                         self.screened_count += 1
                         outcomes[position] = PairOutcome(

@@ -94,9 +94,9 @@ def separation_matrix(
     ``mins``/``maxs`` are the stacked ``(C, d)`` matrices of
     :func:`stack_envelopes`; the result is a symmetric ``(C, C)``
     boolean matrix whose ``[i, j]`` entry equals
-    ``envelopes_separated(envelopes[i], envelopes[j], epsilon)`` — the
-    batch engine uses it to screen a whole job list without the
-    per-pair Python loop.
+    ``envelopes_separated(envelopes[i], envelopes[j], epsilon)`` —
+    all-pairs top-k uses it to screen every pair at once, before any
+    engine job exists.
     """
     # gap[i, j, t] = mins[j, t] - maxs[i, t]: community j strictly above i.
     gap = mins[None, :, :] - maxs[:, None, :]

@@ -539,8 +539,8 @@ class ShardCoordinator:
             else:
                 refined.append(
                     _zero_score(
-                        records[first],
-                        records[second],
+                        pair,
+                        (records[first].n_users, records[second].n_users),
                         method=refine_method,
                         epsilon=epsilon,
                     )
@@ -601,8 +601,8 @@ class ShardCoordinator:
                 epsilon,
             ):
                 score = _zero_score(
-                    self._record(first),
-                    self._record(second),
+                    (first, second),
+                    (self._record(first).n_users, self._record(second).n_users),
                     method=method,
                     epsilon=epsilon,
                 )

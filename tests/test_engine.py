@@ -11,10 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps import top_k_pairs, top_k_pairs_reference
+from repro.catalog import PersistentCatalog
 from repro.core.errors import (
     ConfigurationError,
+    DimensionMismatchError,
     SizeRatioError,
     UnknownAlgorithmError,
+    ValidationError,
 )
 from repro.core.types import Community
 from repro.engine import (
@@ -481,3 +484,134 @@ class TestTopKOnEngine:
         assert [(s.name_b, s.name_a, round(s.similarity, 12)) for s in parallel] == expected
         assert [(s.name_b, s.name_a, round(s.similarity, 12)) for s in warm] == expected
         assert cache.hits > 0
+
+
+def screen_counts(fleet: list[Community], epsilon: int) -> tuple[int, int]:
+    """(joinable, live): size-ratio-joinable pairs, and those of them the
+    envelopes cannot prove similarity-0."""
+    joinable = live = 0
+    for i in range(len(fleet)):
+        for j in range(i + 1, len(fleet)):
+            small, large = sorted((fleet[i].n_users, fleet[j].n_users))
+            if 2 * small < large:
+                continue
+            joinable += 1
+            live += not envelopes_separated(
+                community_envelope(fleet[i]), community_envelope(fleet[j]), epsilon
+            )
+    return joinable, live
+
+
+def shuffled(fleet: list[Community], seed: int) -> list[Community]:
+    order = np.random.default_rng(seed).permutation(len(fleet))
+    result = [fleet[index] for index in order]
+    names = [community.name for community in result]
+    assert names != sorted(names), "the list must not be in name order"
+    return result
+
+
+class TestTopKZeroTail:
+    """Only envelope survivors become engine jobs; the rest of the
+    ranking comes from a lazy similarity-0 tail."""
+
+    @pytest.mark.parametrize("envelope_screen", [True, False])
+    def test_tail_follows_list_order_names(self, envelope_screen):
+        # 6 bands x 2 members: 6 live pairs, fewer than the 12-entry
+        # refinement pool of k=10, so 6 pool entries come from the tail.
+        fleet = shuffled(banded_fleet(6, 2), seed=4)
+        joinable, live = screen_counts(fleet, 2)
+        assert (joinable, live) == (66, 6)
+        scores = top_k_pairs(fleet, epsilon=2, k=10, envelope_screen=envelope_screen)
+        reference = top_k_pairs_reference(fleet, epsilon=2, k=10)
+        assert [(s.name_b, s.name_a, s.similarity) for s in scores] == [
+            (s.name_b, s.name_a, s.similarity) for s in reference
+        ]
+        zeros = [score for score in scores if score.similarity == 0.0]
+        assert len(zeros) == 4
+        if envelope_screen:
+            assert {score.result.engine for score in zeros} == {"envelope-screen"}
+        else:
+            assert "envelope-screen" not in {score.result.engine for score in scores}
+
+    def test_jobs_are_live_pairs_plus_refined_live_pairs(self):
+        fleet = banded_fleet(3, 4)  # 18 live pairs of 66, pool of 12
+        _, live = screen_counts(fleet, 2)
+        metrics, records = MetricsRegistry(), []
+        top_k_pairs(fleet, epsilon=2, k=10, metrics=metrics, telemetry=records)
+        by_disposition = metrics.counters_by_label(
+            "repro_engine_jobs_total", "disposition"
+        )
+        assert sum(by_disposition.values()) == live + 12 == 30
+        assert len(records) == 30
+        assert by_disposition == {"computed": 30}
+
+    def test_screen_counters_count_joinable_and_separated(self):
+        rng = np.random.default_rng(6)
+        # The giant community is joinable with nobody: never tested.
+        giant = Community("giant", rng.integers(0, 20, size=(60, 5)))
+        fleet = banded_fleet(3, 3) + [giant]
+        joinable, live = screen_counts(fleet, 2)
+        assert (joinable, live) == (36, 9)
+        metrics = MetricsRegistry()
+        top_k_pairs(fleet, epsilon=2, k=3, metrics=metrics)
+        assert metrics.counter("repro_engine_envelope_tests_total") == joinable
+        assert (
+            metrics.counter("repro_engine_envelope_separations_total")
+            == joinable - live
+        )
+
+
+class TestTopKInputErrors:
+    def test_bad_arguments_rejected_by_every_source(self, tmp_path):
+        """No join runs on an all-separated fleet, so nothing downstream
+        would catch a bad epsilon or method name."""
+        fleet = banded_fleet(2, 2)
+        all_separated = banded_fleet(4, 1)  # one member per band
+        assert screen_counts(all_separated, 0)[1] == 0
+        catalog = PersistentCatalog(tmp_path / "fleet.db")
+        catalog.register_many(
+            {community.name: community for community in all_separated}
+        )
+        try:
+            for source in (fleet, all_separated, catalog):
+                with pytest.raises(ValidationError, match="epsilon"):
+                    top_k_pairs(source, epsilon=-1, k=2)
+                for method in ("screen_method", "refine_method"):
+                    with pytest.raises(UnknownAlgorithmError):
+                        top_k_pairs(source, epsilon=1, k=2, **{method: "no-such"})
+        finally:
+            catalog.close()
+
+    @pytest.mark.parametrize("size", [4, 8])
+    def test_mixed_dimensions_raise_whatever_the_length(self, size):
+        fleet = banded_fleet(1, size - 1, dims=5)
+        odd = Community("odd", np.random.default_rng(2).integers(0, 20, size=(24, 6)))
+        for communities in (fleet + [odd], [odd] + fleet):
+            with pytest.raises(DimensionMismatchError):
+                top_k_pairs(communities, epsilon=2, k=3)
+
+    def test_engine_screens_long_lists_of_two_dimensionalities(self):
+        """Same-dimension pairs screen correctly in a long job list over
+        communities of two dimensionalities; a mismatched pair raises
+        the typed error."""
+        fleet = banded_fleet(3, 3, dims=5) + banded_fleet(
+            3, 3, dims=4, name_format="low{band}-{member}"
+        )
+        jobs = [
+            job
+            for job in all_pair_jobs(fleet)
+            if fleet[job.first].n_dims == fleet[job.second].n_dims
+        ]
+        assert len(jobs) >= 16
+        with BatchEngine(fleet) as engine:
+            outcomes = engine.run(jobs)
+        for outcome in outcomes:
+            separated = envelopes_separated(
+                community_envelope(fleet[outcome.job.first]),
+                community_envelope(fleet[outcome.job.second]),
+                2,
+            )
+            assert (outcome.disposition is Disposition.SCREENED) == separated
+        with BatchEngine(fleet) as engine:
+            with pytest.raises(DimensionMismatchError):
+                engine.run(all_pair_jobs(fleet))

@@ -353,12 +353,12 @@ class TestVectorisedScreen:
                     )
 
     def test_long_job_lists_screen_identically(self):
-        """Above the vectorisation threshold results and metrics match."""
+        """A long job list screens every pair; counters match the verdicts."""
         fleet = banded_fleet(4, 3)  # 12 communities, 66 pairs >= threshold
         jobs = all_pair_jobs(fleet)
         serial_metrics = MetricsRegistry()
         with BatchEngine(fleet[:2], metrics=serial_metrics) as engine:
-            engine.run(all_pair_jobs(fleet[:2]))  # short list: scalar path
+            engine.run(all_pair_jobs(fleet[:2]))  # short list
         vector_metrics = MetricsRegistry()
         with BatchEngine(fleet, metrics=vector_metrics) as engine:
             outcomes = engine.run(jobs)
