@@ -49,6 +49,8 @@ class _HybridBase(CSJAlgorithm):
         super().__init__(epsilon, engine=engine, record_trace=record_trace)
         if t < 2:
             raise ConfigurationError(f"threshold t must be >= 2, got {t}")
+        if n_parts < 1:
+            raise ConfigurationError(f"n_parts must be >= 1, got {n_parts}")
         self.t = int(t)
         self.n_parts = int(n_parts)
 

@@ -24,18 +24,29 @@ on the segment and the structures reset.  Segments are vertex-disjoint
 unions of connected components of the candidate graph, which is why
 per-segment CSF selects exactly the same pairs as one global CSF call —
 the cross-method tests assert this equality against Ex-Baseline.
+
+The numpy engines replace the double loop with one vectorised band pass
+per join (``_MinMaxBase._band``) that finds the same candidates in the
+same order, so both engines return identical matchings.
 """
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
-from ..core.encoding import MinMaxEncoder
+from ..core.encoding import EncodedCandidates, EncodedTargets, MinMaxEncoder
+from ..core.errors import ConfigurationError
 from ..core.events import EventTrace, EventType
 from ..core.matching import build_adjacency, get_matcher, linf_match
 from .base import CSJAlgorithm
 
 __all__ = ["ApMinMax", "ExMinMax"]
+
+#: Most ``(b, a)`` band pairs the numpy engines expand at once, which
+#: bounds a join's working memory at about this many d-vectors.
+_BAND_BLOCK_PAIRS = 4096
 
 
 class _MinMaxBase(CSJAlgorithm):
@@ -50,6 +61,8 @@ class _MinMaxBase(CSJAlgorithm):
         record_trace: bool = False,
     ) -> None:
         super().__init__(epsilon, engine=engine, record_trace=record_trace)
+        if n_parts < 1:
+            raise ConfigurationError(f"n_parts must be >= 1, got {n_parts}")
         self.n_parts = int(n_parts)
 
     def _encoder(self, n_dims: int) -> MinMaxEncoder:
@@ -58,31 +71,61 @@ class _MinMaxBase(CSJAlgorithm):
         # dimension.
         return MinMaxEncoder(self.epsilon, min(self.n_parts, n_dims))
 
-    def _candidate_positions(
+    def _band(
         self,
-        encoded_id: int,
-        candidates_min: np.ndarray,
-        candidates_max: np.ndarray,
-        parts_row: np.ndarray,
-        range_min: np.ndarray,
-        range_max: np.ndarray,
-    ) -> np.ndarray:
-        """Vectorised window + part/range filter for one ``b`` entry.
+        targets: EncodedTargets,
+        candidates: EncodedCandidates,
+        vectors_b: np.ndarray,
+        vectors_a: np.ndarray,
+    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The part/range survivors of the sort-merge band, block by block.
 
-        Returns the positions (ascending) in ``Encd_A`` that survive the
-        encoded-window and complete part-overlap tests; the caller still
-        has to run the full d-dimensional comparison.
+        Every window is at most ``2·d·ε`` wide, so the ``a`` whose window
+        can hold ``b``'s ID form one ``Encd_A`` slice, ``encoded_Min`` in
+        ``[ID - widest window, ID]``.  The slices of consecutive ``b`` are
+        expanded into ``(b, a)`` pairs in blocks of at most
+        ``_BAND_BLOCK_PAIRS`` (one wider row is its own block).  Parts
+        inside their ranges sum to an ID inside ``[encoded_Min,
+        encoded_Max]``, so the window's upper edge needs no test: the
+        part/range test runs one part at a time on the previous part's
+        survivors.  Yields ``(b_pos, a_pos, full)`` per non-empty block:
+        the survivors' ``Encd_B`` and ``Encd_A`` positions, in ``b`` then
+        ``a`` order as the paper's scan visits them, and their full
+        d-dimensional test outcomes.
         """
-        hi = int(np.searchsorted(candidates_min, encoded_id, side="right"))
-        if hi == 0:
-            return np.empty(0, dtype=np.int64)
-        window = candidates_max[:hi] >= encoded_id
-        if not window.any():
-            return np.empty(0, dtype=np.int64)
-        overlap = (
-            (parts_row >= range_min[:hi]) & (parts_row <= range_max[:hi])
-        ).all(axis=1)
-        return np.flatnonzero(window & overlap).astype(np.int64)
+        encoded_id = targets.encoded_id
+        widest = int((candidates.encoded_max - candidates.encoded_min).max(initial=0))
+        lo = np.searchsorted(candidates.encoded_min, encoded_id - widest, side="left")
+        counts = np.searchsorted(candidates.encoded_min, encoded_id, side="right") - lo
+        ends = np.cumsum(counts)
+        part_sums = targets.parts.T.copy()
+        range_min = candidates.range_min.T.copy()
+        range_max = candidates.range_max.T.copy()
+        start = 0
+        while start < targets.n_users:
+            base = int(ends[start] - counts[start])
+            stop = max(
+                int(np.searchsorted(ends, base + _BAND_BLOCK_PAIRS, side="right")),
+                start + 1,
+            )
+            rows = counts[start:stop]
+            # Pair k of row b is a = lo[b] + k - (the row's first pair).
+            b_pos = np.repeat(np.arange(start, stop), rows)
+            a_pos = np.arange(int(ends[stop - 1]) - base) + np.repeat(
+                lo[start:stop] - (ends[start:stop] - rows - base), rows
+            )
+            start = stop
+            for part, low, high in zip(part_sums, range_min, range_max):
+                inside = part[b_pos]
+                inside = (inside >= low[a_pos]) & (inside <= high[a_pos])
+                b_pos, a_pos = b_pos[inside], a_pos[inside]
+            if b_pos.size == 0:
+                continue
+            diff = np.abs(
+                vectors_a[candidates.real_ids[a_pos]]
+                - vectors_b[targets.real_ids[b_pos]]
+            )
+            yield b_pos, a_pos, (diff <= self.epsilon).all(axis=1)
 
 
 class ApMinMax(_MinMaxBase):
@@ -159,36 +202,50 @@ class ApMinMax(_MinMaxBase):
             encoder = self._encoder(vectors_b.shape[1])
             targets = encoder.encode_targets(vectors_b)
             candidates = encoder.encode_candidates(vectors_a)
-        used = np.zeros(candidates.n_users, dtype=bool)
-        pairs: list[tuple[int, int]] = []
-        for i in range(targets.n_users):
-            positions = self._candidate_positions(
-                int(targets.encoded_id[i]),
-                candidates.encoded_min,
-                candidates.encoded_max,
-                targets.parts[i],
-                candidates.range_min,
-                candidates.range_max,
+        n_b, n_a = targets.n_users, candidates.n_users
+        # Per b, the a position it took (n_a: none); per a, the b that
+        # took it (n_b: still free).
+        picked = np.full(n_b, n_a)
+        taken_by = np.full(n_a, n_b)
+        no_match = 0
+        for b_pos, a_pos, full in self._band(targets, candidates, vectors_b, vectors_a):
+            # First fit: each b takes its first hit in a order that is
+            # still free, then skips the rest of its row.
+            hit_b, hit_a = b_pos[full], a_pos[full]
+            free = taken_by[hit_a] == n_b
+            hit_b, hit_a = hit_b[free], hit_a[free]
+            row_end = np.searchsorted(hit_b, hit_b, side="right").tolist()
+            hit_b, hit_a = hit_b.tolist(), hit_a.tolist()
+            rows: list[int] = []
+            columns: list[int] = []
+            taken: set[int] = set()
+            k = 0
+            while k < len(hit_a):
+                if hit_a[k] in taken:
+                    k += 1
+                    continue
+                taken.add(hit_a[k])
+                rows.append(hit_b[k])
+                columns.append(hit_a[k])
+                k = row_end[k]
+            picked[rows] = columns
+            taken_by[columns] = rows
+            # NO MATCH: the survivors a b scanned before its pick (or all
+            # of them), skipping the ones an earlier b had taken.
+            no_match += int(
+                np.count_nonzero(
+                    ~full & (a_pos < picked[b_pos]) & (taken_by[a_pos] > b_pos)
+                )
             )
-            if positions.size == 0:
-                continue
-            positions = positions[~used[positions]]
-            if positions.size == 0:
-                continue
-            b_real = int(targets.real_ids[i])
-            rows = candidates.real_ids[positions]
-            diff = np.abs(vectors_a[rows] - vectors_b[b_real])
-            full = (diff <= self.epsilon).all(axis=1)
-            hits = np.flatnonzero(full)
-            if hits.size:
-                position = int(positions[hits[0]])
-                used[position] = True
-                pairs.append((b_real, int(candidates.real_ids[position])))
-                trace.emit_bulk(EventType.MATCH, 1)
-                trace.emit_bulk(EventType.NO_MATCH, int(hits[0]))
-            else:
-                trace.emit_bulk(EventType.NO_MATCH, int(full.size))
-        return pairs
+        chosen = np.flatnonzero(picked < n_a)
+        trace.emit_bulk(EventType.MATCH, chosen.size)
+        trace.emit_bulk(EventType.NO_MATCH, no_match)
+        return list(
+            zip(
+                targets.real_ids[chosen].tolist(),
+                candidates.real_ids[picked[chosen]].tolist(),
+            )
+        )
 
 
 class ExMinMax(_MinMaxBase):
@@ -319,28 +376,22 @@ class ExMinMax(_MinMaxBase):
             encoder = self._encoder(vectors_b.shape[1])
             targets = encoder.encode_targets(vectors_b)
             candidates = encoder.encode_candidates(vectors_a)
-        raw_pairs: list[tuple[int, int]] = []
-        for i in range(targets.n_users):
-            positions = self._candidate_positions(
-                int(targets.encoded_id[i]),
-                candidates.encoded_min,
-                candidates.encoded_max,
-                targets.parts[i],
-                candidates.range_min,
-                candidates.range_max,
-            )
-            if positions.size == 0:
-                continue
-            b_real = int(targets.real_ids[i])
-            rows = candidates.real_ids[positions]
-            diff = np.abs(vectors_a[rows] - vectors_b[b_real])
-            full = (diff <= self.epsilon).all(axis=1)
-            hits = rows[full]
-            trace.emit_bulk(EventType.MATCH, int(full.sum()))
-            trace.emit_bulk(EventType.NO_MATCH, int(full.size - full.sum()))
-            raw_pairs.extend((b_real, int(a_real)) for a_real in hits)
-        if not raw_pairs:
+        hits_b: list[np.ndarray] = []
+        hits_a: list[np.ndarray] = []
+        examined = 0
+        for b_pos, a_pos, full in self._band(targets, candidates, vectors_b, vectors_a):
+            examined += full.size
+            hits_b.append(b_pos[full])
+            hits_a.append(a_pos[full])
+        matched = sum(hits.size for hits in hits_b)
+        trace.emit_bulk(EventType.MATCH, matched)
+        trace.emit_bulk(EventType.NO_MATCH, examined - matched)
+        if not matched:
             return []
+        raw_pairs = zip(
+            targets.real_ids[np.concatenate(hits_b)].tolist(),
+            candidates.real_ids[np.concatenate(hits_a)].tolist(),
+        )
         with trace.stage("matching"):
             matched_b, matched_a = build_adjacency(raw_pairs)
             return self._matcher(matched_b, matched_a)

@@ -31,11 +31,7 @@ import numpy as np
 
 from ..algorithms import ALGORITHMS, get_algorithm
 from ..catalog import PersistentCatalog
-from ..core.errors import (
-    ConfigurationError,
-    DimensionMismatchError,
-    UnknownAlgorithmError,
-)
+from ..core.errors import ConfigurationError, DimensionMismatchError
 from ..core.types import Community, CSJResult, EventCounts
 from ..core.validation import validate_epsilon
 from ..engine import (
@@ -161,9 +157,10 @@ def top_k_pairs(
     this function with the in-memory list.
     """
     epsilon = validate_epsilon(epsilon)
+    # Building both methods once checks their names and options whatever
+    # the data, even when no pair survives the screen to be joined.
     for method in (screen_method, refine_method):
-        if method.strip().lower() not in ALGORITHMS:
-            raise UnknownAlgorithmError(method, tuple(ALGORITHMS))
+        get_algorithm(method, epsilon, **options)
     if isinstance(communities, PersistentCatalog):
         _validate([], k, screen_margin)
         catalog = communities

@@ -8,11 +8,12 @@ options)`` — content fingerprints, not object identities, so hits
 survive regeneration of identical data and cross process boundaries.
 
 The cache stores the JSON-style payload of
-:meth:`~repro.core.types.CSJResult.to_dict` rather than the live object:
-payloads are cheap to copy, immutable from the caller's perspective, and
-each hit is rehydrated into a fresh ``CSJResult`` so callers can never
-corrupt a cached entry.  Entries are bounded by an LRU policy and the
-cache keeps hit/miss/eviction counters for observability.
+:meth:`~repro.core.types.CSJResult.to_dict` rather than the live object.
+Payloads never leave the cache: each hit is rebuilt by
+:meth:`~repro.core.types.CSJResult.from_dict` into a fresh ``CSJResult``
+with its own pairs, event counters and stage timings, so callers can
+never corrupt a cached entry.  Entries are bounded by an LRU policy
+and the cache keeps hit/miss/eviction counters for observability.
 
 The cache is **thread-safe**: the similarity service shares one cache
 between executor threads serving concurrent requests, so every entry
@@ -24,7 +25,6 @@ the same lock, serialising updates to those metric keys.
 
 from __future__ import annotations
 
-import copy
 import threading
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Mapping
@@ -143,7 +143,6 @@ class JoinResultCache:
             if self.metrics is not None:
                 self.metrics.inc("repro_engine_cache_hits_total")
             self._entries.move_to_end(key)
-            payload = copy.deepcopy(payload)
         return CSJResult.from_dict(payload)
 
     def put(self, key: JoinKey, result: CSJResult) -> None:

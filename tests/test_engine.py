@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms import get_algorithm
 from repro.apps import top_k_pairs, top_k_pairs_reference
 from repro.catalog import PersistentCatalog
 from repro.core.errors import (
@@ -19,7 +20,7 @@ from repro.core.errors import (
     UnknownAlgorithmError,
     ValidationError,
 )
-from repro.core.types import Community
+from repro.core.types import Community, MatchedPair
 from repro.engine import (
     BatchEngine,
     Disposition,
@@ -229,6 +230,26 @@ class TestJoinResultCache:
         cache.clear()
         assert len(cache) == 0
         assert metrics.snapshot()["gauges"]["repro_engine_cache_entries"] == 0.0
+
+    def test_hits_are_isolated(self):
+        """Mutating one hit never reaches the cached entry or a later hit."""
+        b, a = banded_fleet(1, 2)
+        algorithm = get_algorithm("ex-minmax", 1)
+        algorithm.metrics = MetricsRegistry()
+        cache = JoinResultCache()
+        key = join_key("fingerprint-b", "fingerprint-a", 1, "ex-minmax")
+        cache.put(key, algorithm.join(b, a))
+        hit = cache.get(key)
+        original = hit.to_dict()
+        assert hit.pairs and hit.events.match and hit.stage_seconds
+        hit.pairs.pop()
+        hit.pairs.append(MatchedPair(-1, -1))
+        hit.events.match += 7
+        hit.events.no_match += 3
+        hit.stage_seconds["join"] = -1.0
+        hit.stage_seconds["extra"] = 2.0
+        hit.swapped = not hit.swapped
+        assert cache.get(key).to_dict() == original
 
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -579,6 +600,23 @@ class TestTopKInputErrors:
                 for method in ("screen_method", "refine_method"):
                     with pytest.raises(UnknownAlgorithmError):
                         top_k_pairs(source, epsilon=1, k=2, **{method: "no-such"})
+        finally:
+            catalog.close()
+
+    def test_bad_options_rejected_by_every_source(self, tmp_path):
+        """The screen and refine methods are built before any data can
+        spare them a join, so a bad option raises on an all-separated
+        fleet too."""
+        all_separated = banded_fleet(4, 1)
+        assert screen_counts(all_separated, 1)[1] == 0
+        catalog = PersistentCatalog(tmp_path / "fleet.db")
+        catalog.register_many(
+            {community.name: community for community in all_separated}
+        )
+        try:
+            for source in (banded_fleet(2, 2), all_separated, catalog):
+                with pytest.raises(ConfigurationError, match="n_parts"):
+                    top_k_pairs(source, epsilon=1, k=2, n_parts=0)
         finally:
             catalog.close()
 

@@ -70,6 +70,12 @@ class TestExHybrid:
         with pytest.raises(ConfigurationError):
             ExHybrid(1, t=1)
 
+    @pytest.mark.parametrize("cls", [ApHybrid, ExHybrid])
+    @pytest.mark.parametrize("n_parts", [0, -2])
+    def test_bad_n_parts_rejected_at_construction(self, cls, n_parts):
+        with pytest.raises(ConfigurationError, match="n_parts"):
+            cls(1, n_parts=n_parts)
+
 
 class TestApHybrid:
     @pytest.mark.parametrize("seed", range(6))

@@ -5,10 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.algorithms import minmax
 from repro.algorithms.baseline import ApBaseline, ExBaseline
 from repro.algorithms.minmax import ApMinMax, ExMinMax
+from repro.core.errors import ConfigurationError
 from repro.core.events import EventType
-from repro.core.types import Community
+from repro.core.matching import build_adjacency
+from repro.core.types import Community, EventCounts
 from tests.conftest import (
     assert_valid_matching,
     brute_force_candidate_pairs,
@@ -151,6 +154,12 @@ class TestExMinMax:
         assert ExMinMax(1).name == "ex-minmax"
         assert ApMinMax(1).name == "ap-minmax"
 
+    @pytest.mark.parametrize("cls", [ApMinMax, ExMinMax])
+    @pytest.mark.parametrize("n_parts", [0, -2])
+    def test_bad_n_parts_rejected_at_construction(self, cls, n_parts):
+        with pytest.raises(ConfigurationError, match="n_parts"):
+            cls(1, n_parts=n_parts)
+
 
 class TestMinMaxPruningEffectiveness:
     def test_minmax_compares_less_than_baseline(self):
@@ -171,3 +180,103 @@ class TestMinMaxPruningEffectiveness:
         b, a = Community("B", vectors_b), Community("A", vectors_a)
         result = ApMinMax(1, engine="python").join(b, a)
         assert result.events.no_overlap > 0
+
+
+def per_user_scan(
+    algorithm: ApMinMax | ExMinMax, vectors_b: np.ndarray, vectors_a: np.ndarray
+) -> tuple[list[tuple[int, int]], EventCounts]:
+    """The numpy engines' scan one ``b`` at a time: the reference the band
+    blocks must reproduce, pair order and event counts included."""
+    encoder = algorithm._encoder(vectors_b.shape[1])
+    targets = encoder.encode_targets(vectors_b)
+    candidates = encoder.encode_candidates(vectors_a)
+    first_fit = isinstance(algorithm, ApMinMax)
+    used = np.zeros(candidates.n_users, dtype=bool)
+    pairs: list[tuple[int, int]] = []
+    match = no_match = 0
+    for i in range(targets.n_users):
+        encoded_id = targets.encoded_id[i]
+        hi = int(np.searchsorted(candidates.encoded_min, encoded_id, side="right"))
+        window = candidates.encoded_max[:hi] >= encoded_id
+        overlap = (
+            (targets.parts[i] >= candidates.range_min[:hi])
+            & (targets.parts[i] <= candidates.range_max[:hi])
+        ).all(axis=1)
+        positions = np.flatnonzero(window & overlap)
+        if first_fit:
+            positions = positions[~used[positions]]
+        b_real = int(targets.real_ids[i])
+        rows = candidates.real_ids[positions]
+        full = (np.abs(vectors_a[rows] - vectors_b[b_real]) <= algorithm.epsilon).all(
+            axis=1
+        )
+        hits = np.flatnonzero(full)
+        if not first_fit:
+            pairs.extend((b_real, int(a_real)) for a_real in rows[hits])
+            match += hits.size
+            no_match += full.size - hits.size
+        elif hits.size:
+            used[positions[hits[0]]] = True
+            pairs.append((b_real, int(rows[hits[0]])))
+            match += 1
+            no_match += int(hits[0])
+        else:
+            no_match += full.size
+    if not first_fit and pairs:
+        pairs = algorithm._matcher(*build_adjacency(pairs))
+    return pairs, EventCounts(no_match=no_match, match=match)
+
+
+def _equal_sum_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+    rows = np.zeros((n, d), dtype=np.int64)
+    for row in rows:
+        np.add.at(row, rng.integers(0, d, size=6), 1)
+    return rows
+
+
+def _parity_couples() -> list[tuple[str, np.ndarray, np.ndarray]]:
+    couples = [
+        (f"seed{seed}-d{d}", *random_couple(seed, n_b=14 + seed, n_a=20, d=d))
+        for d in (1, 2, 6, 27)
+        for seed in range(2)
+    ]
+    rng = np.random.default_rng(3)
+    couples.append(("equal-sums", _equal_sum_rows(rng, 20, 5), _equal_sum_rows(rng, 32, 5)))
+    couples.append(
+        ("all-zero", np.zeros((16, 6), dtype=np.int64), np.zeros((25, 6), dtype=np.int64))
+    )
+    heavy = np.floor(rng.pareto(1.2, size=(260, 27)) * 2).astype(np.int64)
+    couples.append(("heavy-tailed", heavy[:110], heavy[110:]))
+    return couples
+
+
+PARITY_COUPLES = _parity_couples()
+
+
+class TestNumpyBandParity:
+    """The numpy engines' block-wise band pass equals the per-``b`` scan."""
+
+    @pytest.mark.parametrize("block_pairs", [None, 1, 7])
+    @pytest.mark.parametrize(
+        "name, vectors_b, vectors_a",
+        PARITY_COUPLES,
+        ids=[name for name, _, _ in PARITY_COUPLES],
+    )
+    def test_same_pairs_and_events_as_per_user_scan(
+        self, monkeypatch, block_pairs, name, vectors_b, vectors_a
+    ):
+        if block_pairs is not None:
+            monkeypatch.setattr(minmax, "_BAND_BLOCK_PAIRS", block_pairs)
+        b, a = Community("B", vectors_b), Community("A", vectors_a)
+        for epsilon in (0, 1, 2):
+            candidates = brute_force_candidate_pairs(vectors_b, vectors_a, epsilon)
+            for n_parts in (1, 2, 3, 4):
+                for cls in (ApMinMax, ExMinMax):
+                    algorithm = cls(epsilon, n_parts=n_parts)
+                    result = algorithm.join(b, a)
+                    assert not result.swapped
+                    pairs, events = per_user_scan(algorithm, vectors_b, vectors_a)
+                    assert result.pair_tuples() == pairs
+                    assert result.events == events
+                    if cls is ExMinMax:
+                        assert result.events.match == len(candidates)
