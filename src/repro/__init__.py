@@ -65,13 +65,6 @@ from .engine import (
     community_fingerprint,
 )
 from .obs import JoinTelemetry, MetricsRegistry, StageClock, stage_timer
-from .sketch import (
-    RecallEstimator,
-    RecallReport,
-    SketchConfig,
-    SketchIndex,
-    SketchPrefilter,
-)
 from .serve import (
     AdmissionPolicy,
     CommunityStore,
@@ -135,11 +128,6 @@ __all__ = [
     "MetricsRegistry",
     "StageClock",
     "stage_timer",
-    "SketchConfig",
-    "SketchIndex",
-    "SketchPrefilter",
-    "RecallEstimator",
-    "RecallReport",
     "CSJServer",
     "ServeConfig",
     "ServerThread",

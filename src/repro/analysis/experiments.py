@@ -224,13 +224,6 @@ def render_experiments_md(*, scale: float, seed: int, n_users: int = 20_000) -> 
         "does not overwrite the recorded file); workload knobs are the "
         "`REPRO_BENCH_ENGINE_*` environment variables and the recorded "
         "`cpu_count` qualifies the parallel numbers.",
-        "* **Sketch pre-filter tier** — `docs/approx.md` documents the "
-        "approximate candidate-generation tier (`repro.sketch`): seeded "
-        "band-bucket signatures replace the `O(C^2)` envelope pair loop, "
-        "and the measured pair recall is folded into the reported `p` "
-        "factor so approximate runs stay honest.  "
-        "`benchmarks/bench_sketch_prefilter.py` records the speedup and "
-        "measured recall in the `sketch` section of `BENCH_engine.json`.",
         "",
     ]
     return "\n".join(lines)

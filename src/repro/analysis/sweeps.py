@@ -23,7 +23,6 @@ from ..datasets.synthetic import SyntheticGenerator
 from ..datasets.vk import VKGenerator
 from ..engine import BatchEngine, CheckpointLog, FaultPolicy, JoinResultCache, PairJob
 from ..obs import JoinTelemetry, MetricsRegistry
-from ..sketch import SketchPrefilter
 
 __all__ = [
     "SweepPoint",
@@ -65,7 +64,6 @@ def epsilon_sweep(
     telemetry: list[JoinTelemetry] | None = None,
     fault_policy: FaultPolicy | None = None,
     checkpoint: CheckpointLog | str | Path | None = None,
-    prefilter: SketchPrefilter | None = None,
     **options: object,
 ) -> list[SweepPoint]:
     """Similarity as a function of epsilon on a fixed couple.
@@ -97,7 +95,6 @@ def epsilon_sweep(
         metrics=metrics,
         fault_policy=fault_policy,
         checkpoint=checkpoint,
-        prefilter=prefilter,
     ) as engine:
         outcomes = engine.run(jobs)
         if telemetry is not None:
@@ -121,7 +118,6 @@ def catalog_epsilon_sweep(
     telemetry: list[JoinTelemetry] | None = None,
     fault_policy: FaultPolicy | None = None,
     checkpoint: CheckpointLog | str | Path | None = None,
-    prefilter: SketchPrefilter | None = None,
     **options: object,
 ) -> list[SweepPoint]:
     """:func:`epsilon_sweep` over a couple stored in a persistent catalog.
@@ -158,7 +154,6 @@ def catalog_epsilon_sweep(
         telemetry=telemetry,
         fault_policy=fault_policy,
         checkpoint=checkpoint,
-        prefilter=prefilter,
         **options,
     )
 
@@ -176,7 +171,6 @@ def scale_sweep(
     telemetry: list[JoinTelemetry] | None = None,
     fault_policy: FaultPolicy | None = None,
     checkpoint: CheckpointLog | str | Path | None = None,
-    prefilter: SketchPrefilter | None = None,
     **options: object,
 ) -> list[SweepPoint]:
     """Runtime as a function of couple size for one couple spec.
@@ -205,7 +199,6 @@ def scale_sweep(
         metrics=metrics,
         fault_policy=fault_policy,
         checkpoint=checkpoint,
-        prefilter=prefilter,
     ) as engine:
         outcomes = engine.run(jobs)
         if telemetry is not None:

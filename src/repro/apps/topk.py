@@ -45,7 +45,6 @@ from ..engine import (
 from ..engine.batch import SCREEN_ENGINE
 from ..engine.envelope import community_envelope, separation_matrix, stack_envelopes
 from ..obs import JoinTelemetry, MetricsRegistry
-from ..sketch import SketchPrefilter
 
 __all__ = ["PairScore", "top_k_pairs", "top_k_pairs_reference"]
 
@@ -110,7 +109,6 @@ def top_k_pairs(
     telemetry: list[JoinTelemetry] | None = None,
     fault_policy: FaultPolicy | None = None,
     checkpoint: CheckpointLog | str | Path | None = None,
-    prefilter: SketchPrefilter | None = None,
     keys: list[str] | None = None,
     **options: object,
 ) -> list[PairScore]:
@@ -139,12 +137,6 @@ def top_k_pairs(
     supervises both phases (timeouts / retries / quarantine) and
     ``checkpoint`` makes completed joins durable so a killed ranking
     resumes without recomputing finished pairs.
-
-    ``prefilter`` (a :class:`~repro.sketch.SketchPrefilter`) gates both
-    phases through the sketch tier's candidate generator; with a lossy
-    tier (``target_recall < 1``) the measured recall is folded into
-    every surviving result's ``p``, so the ranking's similarities carry
-    the candidate-generation error honestly (see ``docs/approx.md``).
 
     ``communities`` may also be a
     :class:`~repro.catalog.PersistentCatalog` (optionally restricted to
@@ -218,7 +210,6 @@ def top_k_pairs(
         metrics=metrics,
         fault_policy=fault_policy,
         checkpoint=checkpoint,
-        prefilter=prefilter,
     ) as engine:
         scores = _rank_pairs(
             names,

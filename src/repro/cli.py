@@ -78,27 +78,6 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
             "and new ones appended, so a killed run resumes for free"
         ),
     )
-    parser.add_argument(
-        "--prefilter",
-        choices=("none", "sketch"),
-        default="none",
-        help=(
-            "candidate pre-filter tier ahead of the envelope screen; "
-            "'sketch' gates pairs through banded signatures (see "
-            "docs/approx.md)"
-        ),
-    )
-    parser.add_argument(
-        "--target-recall",
-        type=float,
-        default=1.0,
-        metavar="R",
-        help=(
-            "sketch pre-filter candidate-pair recall target in (0, 1]; "
-            "1.0 (default) is exact, below 1.0 the measured recall is "
-            "folded into the reported p"
-        ),
-    )
 
 
 def _engine_kwargs(args: argparse.Namespace) -> dict:
@@ -115,12 +94,6 @@ def _engine_kwargs(args: argparse.Namespace) -> dict:
         )
     if args.resume_from is not None:
         kwargs["checkpoint"] = args.resume_from
-    if getattr(args, "prefilter", "none") == "sketch":
-        from .sketch import SketchPrefilter
-
-        kwargs["prefilter"] = SketchPrefilter(
-            target_recall=args.target_recall, seed=getattr(args, "seed", 7)
-        )
     return kwargs
 
 
@@ -900,14 +873,12 @@ def main(argv: list[str] | None = None) -> int:
                 from .catalog import init_catalog_metrics
                 from .serve.store import init_delta_metrics
                 from .shard.metrics import init_shard_metrics
-                from .sketch import init_sketch_metrics
 
                 registry = MetricsRegistry()
                 # Zero-initialise every metric family before merging so
                 # dashboards see all repro_* samples even for runs that
                 # never touched a subsystem (counters add on merge, so
                 # recorded values pass through unchanged).
-                init_sketch_metrics(registry)
                 init_delta_metrics(registry)
                 init_catalog_metrics(registry)
                 init_shard_metrics(registry)

@@ -30,11 +30,12 @@ Argument errors raise :class:`~repro.serve.protocol.ProtocolError`
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Collection, Mapping, Sequence
 
 from ..algorithms.baseline import ExBaseline
-from ..algorithms.registry import ALGORITHMS
+from ..algorithms.registry import ALGORITHMS, get_algorithm
 from ..apps import top_k_pairs
 from ..core.types import Community
 from ..engine import (
@@ -46,7 +47,6 @@ from ..engine import (
     canonical_options,
 )
 from ..obs import MetricsRegistry
-from ..sketch import SketchPrefilter
 from .protocol import ProtocolError
 from .store import CommunityStore, DeltaJoinPool, StoreSnapshot
 
@@ -78,6 +78,14 @@ HEAVY_OPS = frozenset({"join", "topk", "update", "candidates", "join_batch"})
 
 #: JSON-representable option value types accepted in ``args.options``.
 _OPTION_TYPES = (bool, int, float, str, type(None))
+
+#: Parameters :func:`~repro.apps.top_k_pairs` binds itself: the server
+#: sets them, so a ``topk`` request's method options may not.
+_TOPK_PARAMETERS = frozenset(
+    name
+    for name, parameter in inspect.signature(top_k_pairs).parameters.items()
+    if parameter.kind is not inspect.Parameter.VAR_KEYWORD
+)
 
 
 # ----------------------------------------------------------------------
@@ -119,17 +127,39 @@ def _arg_method(args: Mapping[str, object], key: str, default: str) -> str:
     return method
 
 
-def _arg_options(args: Mapping[str, object]) -> dict[str, object]:
+def _arg_options(
+    args: Mapping[str, object],
+    epsilon: int,
+    methods: Sequence[str],
+    reserved: Collection[str] = (),
+) -> dict[str, object]:
+    """Method options, checked by building every method that will use them.
+
+    An option no method accepts, or one a method rejects, is the
+    client's mistake: it is answered ``invalid`` here, on the loop,
+    before any work reaches the executor.
+    """
     options = args.get("options", {})
     if not isinstance(options, dict):
         raise ProtocolError("invalid", "'options' must be a JSON object")
     for key, value in options.items():
+        if key in reserved:
+            raise ProtocolError(
+                "invalid", f"option {key!r} is not a method option"
+            )
         if not isinstance(value, _OPTION_TYPES):
             raise ProtocolError(
                 "invalid",
                 f"option {key!r} must be a JSON primitive, "
                 f"got {type(value).__name__}",
             )
+    for method in methods:
+        try:
+            get_algorithm(method, epsilon, **options)
+        except (TypeError, ValueError, ArithmeticError) as exc:
+            raise ProtocolError(
+                "invalid", f"options rejected by {method}: {exc}"
+            ) from None
     return dict(options)
 
 
@@ -138,38 +168,6 @@ def _arg_bool(args: Mapping[str, object], key: str, default: bool) -> bool:
     if not isinstance(value, bool):
         raise ProtocolError("invalid", f"'{key}' must be a boolean")
     return value
-
-
-def _arg_float(
-    args: Mapping[str, object], key: str, default: float,
-    *, minimum: float | None = None, maximum: float | None = None,
-) -> float:
-    value = args.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ProtocolError("invalid", f"'{key}' must be a number")
-    value = float(value)
-    if minimum is not None and value < minimum:
-        raise ProtocolError("invalid", f"'{key}' must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        raise ProtocolError("invalid", f"'{key}' must be <= {maximum}, got {value}")
-    return value
-
-
-def _arg_prefilter(
-    args: Mapping[str, object], seed: int = 7
-) -> "SketchPrefilter | None":
-    """Build the optional sketch pre-filter from ``topk`` arguments."""
-    choice = args.get("prefilter", "none")
-    if choice not in ("none", "sketch"):
-        raise ProtocolError(
-            "invalid", f"'prefilter' must be 'none' or 'sketch', got {choice!r}"
-        )
-    target_recall = _arg_float(
-        args, "target_recall", 1.0, minimum=1e-6, maximum=1.0
-    )
-    if choice == "none":
-        return None
-    return SketchPrefilter(target_recall=target_recall, seed=seed)
 
 
 # ----------------------------------------------------------------------
@@ -206,7 +204,6 @@ class TopkWork:
     fault_policy: FaultPolicy | None
     collect_metrics: bool = False
     names: list[str] = field(default_factory=list)
-    prefilter: SketchPrefilter | None = None
 
 
 def plan_join(server: "CSJServer", args: Mapping[str, object]) -> JoinWork:
@@ -215,13 +212,14 @@ def plan_join(server: "CSJServer", args: Mapping[str, object]) -> JoinWork:
     second = _arg_str(args, "second")
     epsilon = _arg_int(args, "epsilon", minimum=0, required=True)
     assert epsilon is not None
+    method = _arg_method(args, "method", "ex-minmax")
     config = server.config
     return JoinWork(
         first=server.store.snapshot(first),
         second=server.store.snapshot(second),
-        method=_arg_method(args, "method", "ex-minmax"),
+        method=method,
         epsilon=epsilon,
-        options=_arg_options(args),
+        options=_arg_options(args, epsilon, (method,)),
         cache=server.cache,
         screen=_arg_bool(args, "screen", config.screen),
         enforce_size_ratio=_arg_bool(
@@ -252,20 +250,23 @@ def plan_topk(server: "CSJServer", args: Mapping[str, object]) -> TopkWork:
         )
     if len(set(names)) != len(names):
         raise ProtocolError("invalid", "'names' must not repeat communities")
+    screen_method = _arg_method(args, "screen_method", "ap-minmax")
+    refine_method = _arg_method(args, "method", "ex-minmax")
     config = server.config
     return TopkWork(
         snapshots=server.store.snapshots(names),
         epsilon=epsilon,
         k=k,
-        screen_method=_arg_method(args, "screen_method", "ap-minmax"),
-        refine_method=_arg_method(args, "method", "ex-minmax"),
-        options=_arg_options(args),
+        screen_method=screen_method,
+        refine_method=refine_method,
+        options=_arg_options(
+            args, epsilon, (screen_method, refine_method), _TOPK_PARAMETERS
+        ),
         cache=server.cache,
         screen=_arg_bool(args, "screen", config.screen),
         fault_policy=config.fault_policy,
         collect_metrics=True,
         names=names,
-        prefilter=_arg_prefilter(args),
     )
 
 
@@ -402,13 +403,14 @@ def plan_join_batch(
             )
         pairs.append((entry[0], entry[1]))
     names = sorted({name for pair in pairs for name in pair})
+    method = _arg_method(args, "method", "ap-minmax")
     config = server.config
     return JoinBatchWork(
         snapshots={name: server.store.snapshot(name) for name in names},
         pairs=pairs,
-        method=_arg_method(args, "method", "ap-minmax"),
+        method=method,
         epsilon=epsilon,
-        options=_arg_options(args),
+        options=_arg_options(args, epsilon, (method,)),
         include_results=_arg_bool(args, "include_results", False),
         cache=server.cache,
         screen=_arg_bool(args, "screen", config.screen),
@@ -587,7 +589,6 @@ def execute_topk_work(work: TopkWork) -> tuple[dict, dict | None]:
         envelope_screen=work.screen,
         metrics=scratch,
         fault_policy=work.fault_policy,
-        prefilter=work.prefilter,
         **work.options,
     )
     versions = {
@@ -609,10 +610,6 @@ def execute_topk_work(work: TopkWork) -> tuple[dict, dict | None]:
             for rank, score in enumerate(scores, start=1)
         ],
     }
-    if work.prefilter is not None:
-        # Approximate rankings carry their own error bar: the measured
-        # per-epsilon recall already folded into each similarity.
-        result["prefilter"] = work.prefilter.stats()
     return result, (scratch.snapshot() if scratch is not None else None)
 
 

@@ -42,7 +42,6 @@ from ..catalog import init_catalog_metrics
 from ..core.errors import ReproError
 from ..engine import FaultPolicy, JoinResultCache
 from ..obs import MetricsRegistry
-from ..sketch import init_sketch_metrics
 
 # Submodule-direct import on purpose: repro.shard's package init pulls
 # in the coordinator, which imports repro.serve.client — going through
@@ -146,9 +145,8 @@ class CSJServer:
         self.config = config if config is not None else ServeConfig()
         self.store = store if store is not None else CommunityStore()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        # Zero-initialise the sketch and delta families so stats/scrapes
-        # expose them before the first approximate topk / update request.
-        init_sketch_metrics(self.metrics)
+        # Zero-initialise the subsystem families so stats/scrapes expose
+        # them before the first update / catalog / shard request.
         init_delta_metrics(self.metrics)
         init_catalog_metrics(self.metrics)
         init_shard_metrics(self.metrics)
@@ -406,14 +404,6 @@ class CSJServer:
             "shed_by_reason": self.metrics.counters_by_label(
                 "repro_serve_shed_total", "reason"
             ),
-            "sketch": {
-                "pairs_checked": self.metrics.counter(
-                    "repro_sketch_pairs_checked_total"
-                ),
-                "pairs_skipped": self.metrics.counter(
-                    "repro_sketch_pairs_skipped_total"
-                ),
-            },
             "delta": {
                 "enabled": self.delta_pool is not None,
                 "updates": self.metrics.counter("repro_delta_updates_total"),

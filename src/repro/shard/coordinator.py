@@ -44,11 +44,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
+from ..algorithms import get_algorithm
 from ..analysis.sweeps import SweepPoint
 from ..apps.topk import PairScore, _pool_size, _ratio_ok, _validate, _zero_score
 from ..catalog import CatalogRecord, PersistentCatalog
 from ..core.errors import ConfigurationError, ReproError
 from ..core.types import CSJResult
+from ..core.validation import validate_epsilon
 from ..engine.envelope import envelopes_separated, separation_matrix, stack_envelopes
 from ..obs import MetricsRegistry
 
@@ -374,10 +376,13 @@ class ShardCoordinator:
         shards down and ``allow_partial=True``, the degraded contract
         of :class:`ShardTopK` applies instead.
         """
+        # The same entry checks as top_k_pairs, so a caller's mistake
+        # raises its own error instead of reaching the shards, which
+        # would answer ``invalid`` and look like an outage.
+        epsilon = validate_epsilon(epsilon)
+        for method in (screen_method, refine_method):
+            get_algorithm(method, epsilon, **options)
         _validate([], k, screen_margin)
-        epsilon = int(epsilon)
-        if epsilon < 0:
-            raise ConfigurationError(f"epsilon must be >= 0, got {epsilon}")
 
         # Phase 1: every shard's local candidate pairs.
         responses, missing = self._fanout(
@@ -589,7 +594,7 @@ class ShardCoordinator:
         plan metadata, exactly like the catalog ranking's screened
         pairs.
         """
-        epsilon = int(epsilon)
+        epsilon = validate_epsilon(epsilon)
         for key in (first, second):
             if key not in self.plan.metadata:
                 raise ShardError(f"community {key!r} is not in the plan")
@@ -648,7 +653,8 @@ class ShardCoordinator:
         """
         if not epsilons:
             raise ConfigurationError("sweep needs at least one epsilon")
-        if sorted(epsilons) != list(epsilons):
+        epsilons = [validate_epsilon(epsilon) for epsilon in epsilons]
+        if sorted(epsilons) != epsilons:
             raise ConfigurationError("epsilons must be given in ascending order")
         completed = self._load_checkpoint(checkpoint)
         resumed = 0
@@ -673,7 +679,7 @@ class ShardCoordinator:
                 if envelopes_separated(
                     self.plan.envelope_of(first),
                     self.plan.envelope_of(second),
-                    int(max(epsilons)),
+                    max(epsilons),
                 ):
                     curves[(first, second)] = tuple(
                         SweepPoint(
@@ -687,7 +693,7 @@ class ShardCoordinator:
                     continue
                 points: list[SweepPoint] = []
                 for epsilon in epsilons:
-                    cell = (first, second, int(epsilon))
+                    cell = (first, second, epsilon)
                     cached = completed.get(cell)
                     if cached is not None:
                         resumed += 1
@@ -697,7 +703,7 @@ class ShardCoordinator:
                         response = self.join(
                             first,
                             second,
-                            epsilon=int(epsilon),
+                            epsilon=epsilon,
                             method=method,
                             options=options,
                         )
@@ -723,7 +729,7 @@ class ShardCoordinator:
                                 {
                                     "first": first,
                                     "second": second,
-                                    "epsilon": int(epsilon),
+                                    "epsilon": epsilon,
                                     "similarity_percent": point.similarity_percent,
                                     "n_matched": point.n_matched,
                                     "elapsed_seconds": point.elapsed_seconds,

@@ -34,6 +34,7 @@ from repro.engine import (
     join_key,
     matrix_fingerprint,
 )
+from repro.engine.envelope import separation_matrix, stack_envelopes
 from repro.engine.shared import AttachedVectorStore, SharedVectorStore
 from repro.obs import MetricsRegistry, summarize_records
 from repro.testing import banded_community_fleet as banded_fleet
@@ -151,6 +152,62 @@ class TestEnvelopeScreen:
                 1 for o in outcomes if o.disposition is Disposition.SCREENED
             )
             assert engine.stats()["screened"] == screened == 4  # cross-band pairs
+
+
+class TestVectorisedScreen:
+    def test_separation_matrix_matches_scalar(self):
+        fleet = banded_fleet(3, 2, band_gap=30, high=25)
+        envelopes = [community_envelope(c) for c in fleet]
+        mins, maxs = stack_envelopes(envelopes)
+        for epsilon in (0, 1, 5, 40):
+            matrix = separation_matrix(mins, maxs, epsilon)
+            for i in range(len(fleet)):
+                for j in range(len(fleet)):
+                    if i == j:
+                        continue
+                    assert bool(matrix[i, j]) == envelopes_separated(
+                        envelopes[i], envelopes[j], epsilon
+                    )
+
+    def test_long_job_lists_screen_identically(self):
+        """A long job list screens every pair; counters match the verdicts."""
+        fleet = banded_fleet(4, 3)  # 12 communities, 66 pairs >= threshold
+        jobs = all_pair_jobs(fleet)
+        serial_metrics = MetricsRegistry()
+        with BatchEngine(fleet[:2], metrics=serial_metrics) as engine:
+            engine.run(all_pair_jobs(fleet[:2]))  # short list
+        vector_metrics = MetricsRegistry()
+        with BatchEngine(fleet, metrics=vector_metrics) as engine:
+            outcomes = engine.run(jobs)
+        assert vector_metrics.counter("repro_engine_envelope_tests_total") == len(
+            jobs
+        )
+        screened = vector_metrics.counter(
+            "repro_engine_envelope_separations_total"
+        )
+        assert screened == sum(
+            1 for o in outcomes if o.disposition is Disposition.SCREENED
+        )
+        # Scalar recomputation agrees with every batch verdict.
+        for outcome in outcomes:
+            scalar = envelopes_separated(
+                community_envelope(fleet[outcome.job.first]),
+                community_envelope(fleet[outcome.job.second]),
+                outcome.job.epsilon,
+            )
+            assert scalar == (outcome.disposition is Disposition.SCREENED)
+
+    def test_envelope_memoised_per_community(self):
+        fleet = banded_fleet(1, 2)
+        first = community_envelope(fleet[0])
+        second = community_envelope(fleet[0])
+        assert first is second
+        import dataclasses as dc
+
+        clone = dc.replace(fleet[0], name="clone")
+        assert "_envelope_cache" not in clone.__dict__
+        assert community_envelope(clone) is not first
+        np.testing.assert_array_equal(community_envelope(clone).mins, first.mins)
 
 
 class TestJoinResultCache:

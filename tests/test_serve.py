@@ -348,6 +348,40 @@ class TestServiceEndToEnd:
                 # the connection survived every error above
                 assert client.health()["status"] == "ok"
 
+    @pytest.mark.parametrize(
+        "op, options",
+        [
+            ("join", {"bogus": 1}),
+            ("join_batch", {"bogus": 1}),
+            ("topk", {"bogus": 1}),
+            ("topk", {"k": 2}),
+            ("topk", {"n_jobs": 2}),
+            ("topk", {"checkpoint": "run.jsonl"}),
+        ],
+        ids=["join", "join_batch", "topk", "topk_k", "topk_n_jobs", "topk_checkpoint"],
+    )
+    def test_options_only_reach_the_methods(self, tmp_path, op, options):
+        """Request options configure the join methods and nothing else:
+        one no method accepts, or one the server sets itself, is the
+        client's mistake and nothing runs."""
+        if "checkpoint" in options:
+            options = {"checkpoint": str(tmp_path / options["checkpoint"])}
+        with ServerThread(store=_store_with_fleet()) as st:
+            names = st.server.store.names()
+            args = {
+                "join": {"first": names[0], "second": names[1]},
+                "join_batch": {"pairs": [[names[0], names[1]]]},
+                "topk": {"k": 3},
+            }[op]
+            with ServeClient(*st.address) as client:
+                with pytest.raises(ServeError) as excinfo:
+                    client.request(
+                        op, {**args, "epsilon": EPSILON, "options": options}
+                    )
+                assert excinfo.value.code == "invalid"
+                assert client.health()["status"] == "ok"
+        assert list(tmp_path.iterdir()) == []
+
     def test_zero_deadline_expires_before_execution(self):
         with ServerThread(store=_store_with_fleet()) as st:
             names = st.server.store.names()

@@ -19,7 +19,7 @@ import pytest
 from repro.analysis.sweeps import catalog_epsilon_sweep
 from repro.apps import top_k_pairs
 from repro.catalog import PersistentCatalog
-from repro.core.errors import ConfigurationError
+from repro.core.errors import ConfigurationError, ReproError, ValidationError
 from repro.core.types import Community, CSJResult
 from repro.engine import BatchEngine, PairJob
 from repro.obs import MetricsRegistry
@@ -295,6 +295,60 @@ class TestShardLoss:
             ) as coord:
                 with pytest.raises(ShardUnavailableError):
                     coord.top_k(epsilon=EPSILON, k=5, allow_partial=True)
+
+
+# ----------------------------------------------------------------------
+# caller mistakes are not outages
+# ----------------------------------------------------------------------
+class TestCoordinatorInputErrors:
+    """A bad argument raises what ``top_k_pairs`` raises, before any RPC.
+
+    The shards would answer such a request ``invalid``; reaching them
+    would report the caller's mistake as missing shards, or, with
+    ``allow_partial``, as a degraded ranking.
+    """
+
+    @pytest.fixture(scope="class")
+    def fleet_dir(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("input-errors")
+        with make_catalog(root / "u.db", small_fleet()) as catalog:
+            partition_catalog(catalog, root / "p", 2, epsilon=EPSILON)
+        return root
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            {"screen_method": "nope"},
+            {"refine_method": "nope"},
+            {"n_parts": 0},
+            {"epsilon": 1.7},
+            {"epsilon": True},
+        ],
+        ids=["screen_method", "refine_method", "n_parts", "float_eps", "bool_eps"],
+    )
+    def test_top_k_raises_like_single_host(self, fleet_dir, case):
+        kwargs = {"epsilon": EPSILON, "k": 5, **case}
+        with PersistentCatalog(fleet_dir / "u.db") as catalog:
+            with pytest.raises(ReproError) as expected:
+                top_k_pairs(catalog, **kwargs)
+        metrics = MetricsRegistry()
+        with ShardFleet(fleet_dir / "p") as fleet:
+            with fleet.coordinator(metrics=metrics, retries=0) as coordinator:
+                for allow_partial in (False, True):
+                    with pytest.raises(ReproError) as raised:
+                        coordinator.top_k(allow_partial=allow_partial, **kwargs)
+                    assert type(raised.value) is type(expected.value)
+        assert metrics.counter("repro_shard_failures_total") == 0
+        assert metrics.counter("repro_shard_requests_total") == 0
+
+    @pytest.mark.parametrize("epsilon", [1.7, True, -1])
+    def test_join_and_sweep_validate_epsilon(self, fleet_dir, epsilon):
+        with ShardFleet(fleet_dir / "p") as fleet:
+            with fleet.coordinator() as coordinator:
+                with pytest.raises(ValidationError):
+                    coordinator.join("band0-m0", "band0-m1", epsilon=epsilon)
+                with pytest.raises(ValidationError):
+                    coordinator.sweep([("band0-m0", "band0-m1")], [epsilon])
 
 
 # ----------------------------------------------------------------------
