@@ -29,7 +29,7 @@ from ..core.errors import ConfigurationError
 from ..core.events import EventTrace, EventType
 from ..core.matching import build_adjacency, get_matcher
 from .base import CSJAlgorithm
-from .superego import ego_order, grid_cells
+from .superego import ego_sort, ego_walk
 
 __all__ = ["ApHybrid", "ExHybrid"]
 
@@ -61,16 +61,7 @@ class _HybridBase(CSJAlgorithm):
         The encoded arrays are computed once over the full inputs and
         permuted into EGO order, so every leaf slices them for free.
         """
-        cells_b = grid_cells(vectors_b, self.epsilon)
-        cells_a = grid_cells(vectors_a, self.epsilon)
-        spread = np.maximum(
-            cells_b.max(axis=0) - cells_b.min(axis=0),
-            cells_a.max(axis=0) - cells_a.min(axis=0),
-        )
-        dim_order = np.argsort(-spread, kind="stable")
-        order_b = ego_order(cells_b, dim_order)
-        order_a = ego_order(cells_a, dim_order)
-
+        order_b, order_a, _ = ego_sort(vectors_b, vectors_a, self.epsilon)
         encoder = MinMaxEncoder(
             self.epsilon, min(self.n_parts, vectors_b.shape[1])
         )
@@ -95,45 +86,13 @@ class _HybridBase(CSJAlgorithm):
             "encoded_max": range_max[order_a].sum(axis=1),
         }
 
-    def _ego_strategy_prunes(self, raw_b: np.ndarray, raw_a: np.ndarray) -> bool:
-        """Value-space bounding-box gap test (per-dimension condition)."""
-        gaps = np.maximum(
-            raw_b.min(axis=0) - raw_a.max(axis=0),
-            raw_a.min(axis=0) - raw_b.max(axis=0),
+    def _leaves(self, state: dict, trace: EventTrace) -> list[list[int]]:
+        """Raw SuperEGO's surviving leaves, in its depth-first order."""
+        leaves, pruned = ego_walk(
+            state["raw_b"], state["raw_a"], self.t, self.epsilon, aggregate=False
         )
-        return bool((gaps > self.epsilon).any())
-
-    def _recurse(
-        self, state: dict, lo_b: int, hi_b: int, lo_a: int, hi_a: int,
-        trace: EventTrace,
-    ) -> None:
-        if lo_b >= hi_b or lo_a >= hi_a:
-            return
-        if self._ego_strategy_prunes(
-            state["raw_b"][lo_b:hi_b], state["raw_a"][lo_a:hi_a]
-        ):
-            trace.emit_bulk(EventType.MIN_PRUNE, 1)
-            return
-        len_b, len_a = hi_b - lo_b, hi_a - lo_a
-        if len_b < self.t and len_a < self.t:
-            self._leaf_join(state, lo_b, hi_b, lo_a, hi_a, trace)
-            return
-        if len_b < self.t:
-            mid_a = lo_a + len_a // 2
-            self._recurse(state, lo_b, hi_b, lo_a, mid_a, trace)
-            self._recurse(state, lo_b, hi_b, mid_a, hi_a, trace)
-            return
-        if len_a < self.t:
-            mid_b = lo_b + len_b // 2
-            self._recurse(state, lo_b, mid_b, lo_a, hi_a, trace)
-            self._recurse(state, mid_b, hi_b, lo_a, hi_a, trace)
-            return
-        mid_b = lo_b + len_b // 2
-        mid_a = lo_a + len_a // 2
-        self._recurse(state, lo_b, mid_b, lo_a, mid_a, trace)
-        self._recurse(state, lo_b, mid_b, mid_a, hi_a, trace)
-        self._recurse(state, mid_b, hi_b, lo_a, mid_a, trace)
-        self._recurse(state, mid_b, hi_b, mid_a, hi_a, trace)
+        trace.emit_bulk(EventType.MIN_PRUNE, pruned)
+        return leaves.tolist()
 
     def _leaf_candidates(
         self, state: dict, lo_b: int, hi_b: int, lo_a: int, hi_a: int,
@@ -167,24 +126,15 @@ class _HybridBase(CSJAlgorithm):
         rows, cols = np.nonzero(survivors)
         if rows.size == 0:
             return []
-        block_b = state["raw_b"][lo_b:hi_b]
-        block_a = state["raw_a"][lo_a:hi_a]
-        pairs: list[tuple[int, int]] = []
-        matches = 0
-        for i, j in zip(rows.tolist(), cols.tolist()):
-            diff = np.abs(block_b[i] - block_a[j])
-            if int(diff.max(initial=0)) <= self.epsilon:
-                pairs.append((lo_b + i, lo_a + j))
-                matches += 1
+        rows += lo_b
+        cols += lo_a
+        full = (
+            np.abs(state["raw_b"][rows] - state["raw_a"][cols]) <= self.epsilon
+        ).all(axis=1)
+        matches = int(np.count_nonzero(full))
         trace.emit_bulk(EventType.MATCH, matches)
         trace.emit_bulk(EventType.NO_MATCH, rows.size - matches)
-        return pairs
-
-    def _leaf_join(
-        self, state: dict, lo_b: int, hi_b: int, lo_a: int, hi_a: int,
-        trace: EventTrace,
-    ) -> None:
-        raise NotImplementedError
+        return list(zip(rows[full].tolist(), cols[full].tolist()))
 
     # Engines share the implementation (the leaf filters are already
     # vectorised; a pure-python replica would add nothing but time).
@@ -206,21 +156,18 @@ class ApHybrid(_HybridBase):
 
     def _join_common(self, vectors_b, vectors_a, trace):
         state = self._prepare(vectors_b, vectors_a)
-        state["used_b"] = np.zeros(len(vectors_b), dtype=bool)
-        state["used_a"] = np.zeros(len(vectors_a), dtype=bool)
-        state["pairs"] = []
-        self._recurse(state, 0, len(vectors_b), 0, len(vectors_a), trace)
+        used_b = np.zeros(len(vectors_b), dtype=bool)
+        used_a = np.zeros(len(vectors_a), dtype=bool)
+        pairs = []
+        for leaf in self._leaves(state, trace):
+            for i, j in self._leaf_candidates(state, *leaf, trace):
+                if used_b[i] or used_a[j]:
+                    continue
+                used_b[i] = True
+                used_a[j] = True
+                pairs.append((i, j))
         order_b, order_a = state["order_b"], state["order_a"]
-        return [(int(order_b[i]), int(order_a[j])) for i, j in state["pairs"]]
-
-    def _leaf_join(self, state, lo_b, hi_b, lo_a, hi_a, trace):
-        used_b, used_a = state["used_b"], state["used_a"]
-        for i, j in self._leaf_candidates(state, lo_b, hi_b, lo_a, hi_a, trace):
-            if used_b[i] or used_a[j]:
-                continue
-            used_b[i] = True
-            used_a[j] = True
-            state["pairs"].append((i, j))
+        return [(int(order_b[i]), int(order_a[j])) for i, j in pairs]
 
 
 class ExHybrid(_HybridBase):
@@ -251,17 +198,15 @@ class ExHybrid(_HybridBase):
 
     def _join_common(self, vectors_b, vectors_a, trace):
         state = self._prepare(vectors_b, vectors_a)
-        state["pairs"] = []
-        self._recurse(state, 0, len(vectors_b), 0, len(vectors_a), trace)
+        pairs = [
+            pair
+            for leaf in self._leaves(state, trace)
+            for pair in self._leaf_candidates(state, *leaf, trace)
+        ]
         order_b, order_a = state["order_b"], state["order_a"]
-        raw_pairs = [(int(order_b[i]), int(order_a[j])) for i, j in state["pairs"]]
+        raw_pairs = [(int(order_b[i]), int(order_a[j])) for i, j in pairs]
         if not raw_pairs:
             return []
         matched_b, matched_a = build_adjacency(raw_pairs)
         trace.note(f"CSF over {len(raw_pairs)} candidate pairs")
         return self._matcher(matched_b, matched_a)
-
-    def _leaf_join(self, state, lo_b, hi_b, lo_a, hi_a, trace):
-        state["pairs"].extend(
-            self._leaf_candidates(state, lo_b, hi_b, lo_a, hi_a, trace)
-        )

@@ -42,9 +42,17 @@ bounding boxes — per-dimension gap above epsilon in raw mode, summed
 gaps above ``d * epsilon`` in aggregate mode — which is exactly the
 active join condition, so no joinable pair is ever lost.  Pruned
 rectangles are counted as MIN PRUNE events.
+
+The python engine runs the recursion as written (``_recurse``).  The
+numpy engine walks the same recursion tree level by level
+(:func:`ego_walk`) and tests the leaves' cells in bounded blocks,
+rejecting most of them on a few integer dimensions before the join
+condition runs; both engines return the same pairs and events.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 import numpy as np
 
@@ -53,7 +61,14 @@ from ..core.events import EventTrace, EventType
 from ..core.matching import build_adjacency, get_matcher, linf_match_mask
 from .base import CSJAlgorithm
 
-__all__ = ["ApSuperEGO", "ExSuperEGO", "ego_order", "grid_cells"]
+__all__ = ["ApSuperEGO", "ExSuperEGO", "ego_order", "ego_sort", "ego_walk", "grid_cells"]
+
+#: Most leaf cells (``(b, a)`` pairs) the numpy engine tests at once,
+#: which bounds a join's working memory whatever ``t`` is.
+_LEAF_BLOCK_CELLS = 16384
+
+#: float32 unit roundoff.
+_UNIT_ROUNDOFF = 2.0**-24
 
 
 def grid_cells(vectors: np.ndarray, cell_width: int) -> np.ndarray:
@@ -76,6 +91,161 @@ def ego_order(cells: np.ndarray, dim_order: np.ndarray) -> np.ndarray:
     return np.lexsort(keys)
 
 
+def ego_sort(
+    vectors_b: np.ndarray, vectors_a: np.ndarray, epsilon: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """EGO row orders of both sides and the dimension order behind them.
+
+    Grid cells only order the rows (locality), so the epsilon-wide grid
+    is right in every mode.  Dimensions come most selective first:
+    widest spread in grid cells over both sides.
+    """
+    cells_b = grid_cells(vectors_b, epsilon)
+    cells_a = grid_cells(vectors_a, epsilon)
+    spread = np.maximum(
+        cells_b.max(axis=0) - cells_b.min(axis=0),
+        cells_a.max(axis=0) - cells_a.min(axis=0),
+    )
+    dim_order = np.argsort(-spread, kind="stable")
+    return ego_order(cells_b, dim_order), ego_order(cells_a, dim_order), dim_order
+
+
+def _halve(starts: np.ndarray, lengths: np.ndarray, t: int):
+    """One level of a side's split tree.
+
+    A segment of at least ``t`` rows splits at ``length // 2``, a
+    shorter one stays whole.  Returns the split mask, the next level's
+    index of each segment's first child, and the next level's starts
+    and lengths.
+    """
+    split = lengths >= t
+    children = 1 + split
+    first = np.cumsum(children) - children
+    next_starts = np.repeat(starts, children)
+    next_starts[first[split] + 1] += lengths[split] // 2
+    next_lengths = np.diff(next_starts, append=starts[-1] + lengths[-1])
+    return split, first, next_starts, next_lengths
+
+
+def ego_walk(
+    raw_b: np.ndarray, raw_a: np.ndarray, t: int, epsilon: int, *, aggregate: bool
+) -> tuple[np.ndarray, int]:
+    """The leaves SuperEGO's recursion reaches, found level by level.
+
+    A segment splits iff it has at least ``t`` rows, whatever it is
+    paired with, so each side's split tree is fixed and the recursion
+    visits node pairs of the two trees: a pair splits every side that
+    splits, and is a leaf once neither does.  Each level computes every
+    segment's bounding box with one ``reduceat`` per side and tests all
+    of the level's node pairs at once.  ``aggregate`` picks the prune
+    rule: the summed bounding-box gaps exceed ``d·ε`` (normalised
+    SuperEGO), or some gap exceeds ``ε`` (raw SuperEGO and the hybrid).
+
+    Returns ``(leaves, pruned)``: the surviving leaves as an ``(L, 4)``
+    array of ``[lo_b, hi_b)`` x ``[lo_a, hi_a)`` row rectangles in the
+    recursion's depth-first order, and the number of pruned node pairs
+    (its MIN PRUNE events).  Both sides must be non-empty.
+    """
+    n_dims = raw_b.shape[1]
+    starts_b, lengths_b = np.zeros(1, dtype=np.intp), np.array([len(raw_b)])
+    starts_a, lengths_a = np.zeros(1, dtype=np.intp), np.array([len(raw_a)])
+    # The live node pairs, as segment indices into the current level,
+    # and their depth-first path: two bits per level, the child index
+    # 2·b_child + a_child.  A side of n rows has at most log2(n) levels,
+    # so the 62 bits of 31 levels cover any feasible input.
+    seg_b = seg_a = paths = np.zeros(1, dtype=np.int64)
+    found: list[tuple[int, np.ndarray, np.ndarray]] = []
+    pruned = 0
+    depth = 0
+    while paths.size:
+        min_b = np.minimum.reduceat(raw_b, starts_b, axis=0)
+        max_b = np.maximum.reduceat(raw_b, starts_b, axis=0)
+        min_a = np.minimum.reduceat(raw_a, starts_a, axis=0)
+        max_a = np.maximum.reduceat(raw_a, starts_a, axis=0)
+        gaps = np.maximum(min_b[seg_b] - max_a[seg_a], min_a[seg_a] - max_b[seg_b])
+        if aggregate:
+            alive = np.maximum(gaps, 0).sum(axis=1) <= n_dims * epsilon
+        else:
+            alive = (gaps <= epsilon).all(axis=1)
+        pruned += int(alive.size - np.count_nonzero(alive))
+        seg_b, seg_a, paths = seg_b[alive], seg_a[alive], paths[alive]
+        split_b, first_b, starts_b_next, lengths_b_next = _halve(starts_b, lengths_b, t)
+        split_a, first_a, starts_a_next, lengths_a_next = _halve(starts_a, lengths_a, t)
+        leaf = ~split_b[seg_b] & ~split_a[seg_a]
+        if leaf.any():
+            leaf_b, leaf_a = seg_b[leaf], seg_a[leaf]
+            rect = np.stack(
+                [
+                    starts_b[leaf_b],
+                    starts_b[leaf_b] + lengths_b[leaf_b],
+                    starts_a[leaf_a],
+                    starts_a[leaf_a] + lengths_a[leaf_a],
+                ],
+                axis=1,
+            )
+            found.append((depth, paths[leaf], rect))
+        inner = ~leaf
+        seg_b, seg_a, paths = seg_b[inner], seg_a[inner], paths[inner]
+        # Children of each inner pair, in the recursion's order: every
+        # b child (one unless b splits) with every a child.
+        wide_a = 1 + split_a[seg_a]
+        counts = (1 + split_b[seg_b]) * wide_a
+        parent = np.repeat(np.arange(paths.size), counts)
+        child = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        child_b, child_a = np.divmod(child, wide_a[parent])
+        seg_b = first_b[seg_b[parent]] + child_b
+        seg_a = first_a[seg_a[parent]] + child_a
+        paths = paths[parent] * 4 + 2 * child_b + child_a
+        starts_b, lengths_b = starts_b_next, lengths_b_next
+        starts_a, lengths_a = starts_a_next, lengths_a_next
+        depth += 1
+    if not found:
+        return np.zeros((0, 4), dtype=np.int64), pruned
+    # A leaf's path is no prefix of another, so padding every path to
+    # the full depth sorts the leaves depth-first.
+    keys = np.concatenate([path << (2 * (depth - level)) for level, path, _ in found])
+    leaves = np.concatenate([rect for _, _, rect in found])
+    return leaves[np.argsort(keys)], pruned
+
+
+def _leaf_blocks(
+    leaves: np.ndarray, block: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The leaves' cells in (leaf, b, a) order, at most ``block`` at once.
+
+    Each leaf row is one run of consecutive ``a``; runs wider than a
+    block are cut, and consecutive runs are expanded into ``(b, a)``
+    cell positions in blocks of at most ``block`` cells.
+    """
+    heights = leaves[:, 1] - leaves[:, 0]
+    run_b = np.arange(heights.sum()) + np.repeat(
+        leaves[:, 0] - (np.cumsum(heights) - heights), heights
+    )
+    run_a = np.repeat(leaves[:, 2], heights)
+    run_len = np.repeat(leaves[:, 3] - leaves[:, 2], heights)
+    if run_len.size and run_len.max() > block:
+        pieces = -(-run_len // block)
+        offset = block * (
+            np.arange(pieces.sum()) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+        )
+        run_b = np.repeat(run_b, pieces)
+        run_a = np.repeat(run_a, pieces) + offset
+        run_len = np.minimum(np.repeat(run_len, pieces) - offset, block)
+    ends = np.cumsum(run_len)
+    start = 0
+    while start < run_len.size:
+        base = int(ends[start] - run_len[start])
+        stop = int(np.searchsorted(ends, base + block, side="right"))
+        lengths = run_len[start:stop]
+        # Cell k of a run is a = the run's first a + k.
+        b_pos = np.repeat(run_b[start:stop], lengths)
+        a_pos = np.arange(int(ends[stop - 1]) - base) + np.repeat(
+            run_a[start:stop] - (ends[start:stop] - lengths - base), lengths
+        )
+        start = stop
+        yield b_pos, a_pos
+
+
 class _SuperEGOBase(CSJAlgorithm):
     """Shared recursion framework of both SuperEGO variants."""
 
@@ -92,6 +262,16 @@ class _SuperEGOBase(CSJAlgorithm):
         super().__init__(epsilon, engine=engine, record_trace=record_trace)
         if t < 2:
             raise ConfigurationError(f"threshold t must be >= 2, got {t}")
+        # Counters are int64, and a larger divisor would push the
+        # normalised values below float32's normal range.
+        if max_value is not None and (
+            isinstance(max_value, bool)
+            or not isinstance(max_value, int)
+            or not 1 <= max_value < 2**63
+        ):
+            raise ConfigurationError(
+                f"max_value must be an integer in [1, 2**63), got {max_value!r}"
+            )
         self.t = int(t)
         self.max_value = max_value
         self.use_normalized = bool(use_normalized)
@@ -100,24 +280,12 @@ class _SuperEGOBase(CSJAlgorithm):
     def _prepare(self, vectors_b: np.ndarray, vectors_a: np.ndarray) -> dict:
         """Sort both sides in EGO order and build the leaf-test arrays."""
         n_dims = vectors_b.shape[1]
-        # Grid cells are only used for the EGO *ordering* (locality), so
-        # the epsilon-wide grid is right in both modes; pruning happens
-        # on exact value-space bounding boxes in _ego_strategy_prunes.
-        cells_b = grid_cells(vectors_b, self.epsilon)
-        cells_a = grid_cells(vectors_a, self.epsilon)
-        # Most selective dimension first: widest spread in grid cells.
-        spread = np.maximum(
-            cells_b.max(axis=0) - cells_b.min(axis=0),
-            cells_a.max(axis=0) - cells_a.min(axis=0),
-        )
-        dim_order = np.argsort(-spread, kind="stable")
-        order_b = ego_order(cells_b, dim_order)
-        order_a = ego_order(cells_a, dim_order)
-
+        order_b, order_a, dim_order = ego_sort(vectors_b, vectors_a, self.epsilon)
+        largest = int(max(vectors_b.max(), vectors_a.max()))
         if self.use_normalized:
             max_value = self.max_value
             if max_value is None:
-                max_value = int(max(vectors_b.max(), vectors_a.max(), 1))
+                max_value = max(largest, 1)
             values_b = (vectors_b / max_value).astype(np.float32)
             values_a = (vectors_a / max_value).astype(np.float32)
             threshold = np.float32(n_dims * self.epsilon / max_value)
@@ -132,10 +300,12 @@ class _SuperEGOBase(CSJAlgorithm):
             "values_a": values_a[order_a],
             "order_b": order_b,
             "order_a": order_a,
+            "dim_order": dim_order,
+            "largest": largest,
             "threshold": threshold,
         }
 
-    # -- leaf join condition --------------------------------------------
+    # -- python engine: the recursion as written -------------------------
     def _condition_row(
         self, value_b: np.ndarray, block_a: np.ndarray, threshold: object
     ) -> np.ndarray:
@@ -144,20 +314,6 @@ class _SuperEGOBase(CSJAlgorithm):
             return np.abs(block_a - value_b).sum(axis=1) <= threshold
         return linf_match_mask(value_b, block_a, self.epsilon)
 
-    def _condition_block(
-        self, block_b: np.ndarray, block_a: np.ndarray, threshold: object
-    ) -> np.ndarray:
-        """Join condition of a whole leaf rectangle at once.
-
-        Returns the boolean ``(len_b, len_a)`` match matrix; leaves are
-        at most ``t`` x ``2t`` rows so the broadcast stays tiny.
-        """
-        diff = np.abs(block_b[:, None, :] - block_a[None, :, :])
-        if self.use_normalized:
-            return diff.sum(axis=2) <= threshold
-        return (diff <= self.epsilon).all(axis=2)
-
-    # -- EGO strategy ----------------------------------------------------
     def _ego_strategy_prunes(self, raw_b: np.ndarray, raw_a: np.ndarray) -> bool:
         """True when the two segments are provably non-joinable.
 
@@ -179,7 +335,6 @@ class _SuperEGOBase(CSJAlgorithm):
             return bool(gaps.sum() > raw_b.shape[1] * self.epsilon)
         return bool((gaps > self.epsilon).any())
 
-    # -- recursion -------------------------------------------------------
     def _recurse(
         self,
         state: dict,
@@ -229,16 +384,110 @@ class _SuperEGOBase(CSJAlgorithm):
     ) -> None:
         raise NotImplementedError
 
-    def _init_state(self, state: dict, n_b: int, n_a: int) -> None:
-        raise NotImplementedError
-
     def _run(
         self, vectors_b: np.ndarray, vectors_a: np.ndarray, trace: EventTrace
     ) -> dict:
+        """The python engine: recurse, collecting leaf pairs in ``state``."""
         state = self._prepare(vectors_b, vectors_a)
-        self._init_state(state, len(vectors_b), len(vectors_a))
+        state["pairs"] = []
+        state["used_b"] = np.zeros(len(vectors_b), dtype=bool)
+        state["used_a"] = np.zeros(len(vectors_a), dtype=bool)
         self._recurse(state, 0, len(vectors_b), 0, len(vectors_a), trace)
         return state
+
+    # -- numpy engine: level-by-level walk + blocked leaf kernel ---------
+    def _collect(
+        self, vectors_b: np.ndarray, vectors_a: np.ndarray, trace: EventTrace
+    ) -> tuple[dict, np.ndarray, np.ndarray, int]:
+        """Every leaf cell that meets the join condition.
+
+        Returns the prepared state, the matching cells' EGO-order
+        ``b`` and ``a`` positions in (leaf, b, a) order — the order the
+        recursion tests them — and the number of cells tested.
+        """
+        with trace.stage("encode"):
+            state = self._prepare(vectors_b, vectors_a)
+        with trace.stage("enumerate"):
+            leaves, pruned = ego_walk(
+                state["raw_b"],
+                state["raw_a"],
+                self.t,
+                self.epsilon,
+                aggregate=self.use_normalized,
+            )
+            trace.emit_bulk(EventType.MIN_PRUNE, pruned)
+            cells = int(
+                ((leaves[:, 1] - leaves[:, 0]) * (leaves[:, 3] - leaves[:, 2])).sum()
+            )
+            hits = list(self._leaf_hits(state, leaves))
+        if not hits:
+            empty = np.zeros(0, dtype=np.intp)
+            return state, empty, empty, cells
+        hits_b, hits_a = (np.concatenate(side) for side in zip(*hits))
+        return state, hits_b, hits_a, cells
+
+    def _leaf_hits(
+        self, state: dict, leaves: np.ndarray
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The join condition over the leaf cells, block by block.
+
+        Each block is screened in integers one dimension at a time,
+        widest spread first, accumulating each cell's L1 distance
+        (normalised mode) or L-infinity distance (raw mode).  A cell
+        leaves once its partial distance exceeds ``limit``; survivors
+        are compacted after 2, 4, 8, ... dimensions and after the last.
+        In raw mode the screen *is* the join condition.  In normalised
+        mode the survivors then run the float32 condition exactly as the
+        python engine does: one contiguous row per pair in the original
+        dimension order, so both engines round alike.
+
+        Why the normalised ``limit = d·ε + ⌈4·d·u·(V + d·ε)⌉`` drops no
+        match, with ``u`` the float32 unit roundoff, ``V`` the largest
+        counter and ``M`` the divisor: each value ``x = b/M`` is rounded
+        twice (float64, then float32), so it is off by at most ``u'·b/M``
+        with ``u' < 1.01·u``; the float32 difference of two values is
+        then at least ``(|b − a| − 2·u'·V)/M · (1 − u)``, and summing
+        ``d`` non-negative terms in float32 loses at most a factor
+        ``(1 − u)^(d−1)`` in any order.  The float32 sum is thus at least
+        ``(1 − u)^d · (L1 − 2·d·u'·V)/M``, while the threshold is at most
+        ``d·ε/M · (1 + u')``, so the condition fails once ``L1 >
+        2·d·u'·V + d·ε·(1 + u')·(1 + 2·d·u)``, which ``limit`` exceeds.
+        The margin matters: with counters up to 10⁷ and ε = 15,000,
+        pairs at ``L1 = d·ε + 1 … d·ε + 5`` still pass in float32.
+        """
+        raw_b, raw_a = state["raw_b"], state["raw_a"]
+        n_dims = raw_b.shape[1]
+        largest = state["largest"]
+        if self.use_normalized:
+            margin = 4 * n_dims * _UNIT_ROUNDOFF * (largest + n_dims * self.epsilon)
+            limit = n_dims * self.epsilon + int(np.ceil(margin))
+            accumulate = np.add
+        else:
+            limit = self.epsilon
+            accumulate = np.maximum
+        # int32 holds every partial distance when d·V fits.
+        dtype = np.int32 if n_dims * largest < 2**31 else np.int64
+        dims = state["dim_order"]
+        columns_b = np.ascontiguousarray(raw_b[:, dims].T, dtype=dtype)
+        columns_a = np.ascontiguousarray(raw_a[:, dims].T, dtype=dtype)
+        values_b, values_a = state["values_b"], state["values_a"]
+        for b_pos, a_pos in _leaf_blocks(leaves, _LEAF_BLOCK_CELLS):
+            for k, (column_b, column_a) in enumerate(zip(columns_b, columns_a)):
+                gap = column_b[b_pos]
+                gap -= column_a[a_pos]
+                np.abs(gap, out=gap)
+                partial = gap if k == 0 else accumulate(partial, gap, out=partial)
+                if 0 < k and k & (k + 1) == 0 or k == n_dims - 1:
+                    keep = partial <= limit
+                    b_pos, a_pos, partial = b_pos[keep], a_pos[keep], partial[keep]
+                    if not b_pos.size:
+                        break
+            if self.use_normalized and b_pos.size:
+                rows_b, rows_a = values_b[b_pos], values_a[a_pos]
+                keep = np.abs(rows_a - rows_b).sum(axis=1) <= state["threshold"]
+                b_pos, a_pos = b_pos[keep], a_pos[keep]
+            if b_pos.size:
+                yield b_pos, a_pos
 
     def _verify_pairs(
         self,
@@ -254,30 +503,13 @@ class _SuperEGOBase(CSJAlgorithm):
         accuracy gap.  In raw (non-normalised) mode the join condition is
         already exact and this is the identity.
         """
-        if not self.use_normalized:
+        if not self.use_normalized or not pairs:
             return pairs
-        return [
-            (b, a)
-            for b, a in pairs
-            if bool((np.abs(vectors_b[b] - vectors_a[a]) <= self.epsilon).all())
-        ]
-
-    # Both engines share the recursion; they differ only in the leaf
-    # implementation, selected via self.engine inside _leaf_join.
-    def _join_python(
-        self, vectors_b: np.ndarray, vectors_a: np.ndarray, trace: EventTrace
-    ) -> list[tuple[int, int]]:
-        return self._join_common(vectors_b, vectors_a, trace)
-
-    def _join_numpy(
-        self, vectors_b: np.ndarray, vectors_a: np.ndarray, trace: EventTrace
-    ) -> list[tuple[int, int]]:
-        return self._join_common(vectors_b, vectors_a, trace)
-
-    def _join_common(
-        self, vectors_b: np.ndarray, vectors_a: np.ndarray, trace: EventTrace
-    ) -> list[tuple[int, int]]:
-        raise NotImplementedError
+        rows_b, rows_a = np.array(pairs).T
+        keep = (np.abs(vectors_b[rows_b] - vectors_a[rows_a]) <= self.epsilon).all(
+            axis=1
+        )
+        return [pair for pair, ok in zip(pairs, keep.tolist()) if ok]
 
 
 class ApSuperEGO(_SuperEGOBase):
@@ -285,11 +517,6 @@ class ApSuperEGO(_SuperEGOBase):
 
     name = "ap-superego"
     exact = False
-
-    def _init_state(self, state: dict, n_b: int, n_a: int) -> None:
-        state["used_b"] = np.zeros(n_b, dtype=bool)
-        state["used_a"] = np.zeros(n_a, dtype=bool)
-        state["pairs"] = []
 
     def _leaf_join(
         self,
@@ -305,23 +532,6 @@ class ApSuperEGO(_SuperEGOBase):
         used_b = state["used_b"]
         used_a = state["used_a"]
         threshold = state["threshold"]
-        if self.engine == "numpy":
-            free_b = [i for i in range(lo_b, hi_b) if not used_b[i]]
-            if not free_b:
-                return
-            matrix = self._condition_block(
-                values_b[free_b], values_a[lo_a:hi_a], threshold
-            )
-            for row, i in enumerate(free_b):
-                mask = matrix[row] & ~used_a[lo_a:hi_a]
-                hits = np.flatnonzero(mask)
-                if hits.size:
-                    j = lo_a + int(hits[0])
-                    used_b[i] = True
-                    used_a[j] = True
-                    state["pairs"].append((i, j))
-                    trace.emit_bulk(EventType.MATCH, 1)
-            return
         for i in range(lo_b, hi_b):
             if used_b[i]:
                 continue
@@ -337,13 +547,40 @@ class ApSuperEGO(_SuperEGOBase):
                     break
                 trace.emit(EventType.NO_MATCH, f"b#{i}", f"a#{j}")
 
-    def _join_common(
+    def _join_python(
         self, vectors_b: np.ndarray, vectors_a: np.ndarray, trace: EventTrace
     ) -> list[tuple[int, int]]:
         state = self._run(vectors_b, vectors_a, trace)
-        order_b = state["order_b"]
-        order_a = state["order_a"]
-        pairs = [(int(order_b[i]), int(order_a[j])) for i, j in state["pairs"]]
+        return self._finish(state, state["pairs"], vectors_b, vectors_a)
+
+    def _join_numpy(
+        self, vectors_b: np.ndarray, vectors_a: np.ndarray, trace: EventTrace
+    ) -> list[tuple[int, int]]:
+        state, hits_b, hits_a, _ = self._collect(vectors_b, vectors_a, trace)
+        with trace.stage("matching"):
+            # First fit over the hits in the order the recursion tests
+            # them: a b takes its first hit whose a is still free.
+            used_b = bytearray(len(vectors_b))
+            used_a = bytearray(len(vectors_a))
+            pairs = []
+            for i, j in zip(hits_b.tolist(), hits_a.tolist()):
+                if used_b[i] or used_a[j]:
+                    continue
+                used_b[i] = used_a[j] = 1
+                pairs.append((i, j))
+            trace.emit_bulk(EventType.MATCH, len(pairs))
+            return self._finish(state, pairs, vectors_b, vectors_a)
+
+    def _finish(
+        self,
+        state: dict,
+        pairs: list[tuple[int, int]],
+        vectors_b: np.ndarray,
+        vectors_a: np.ndarray,
+    ) -> list[tuple[int, int]]:
+        """Map EGO-order pairs back to input rows and verify them."""
+        order_b, order_a = state["order_b"], state["order_a"]
+        pairs = [(int(order_b[i]), int(order_a[j])) for i, j in pairs]
         return self._verify_pairs(pairs, vectors_b, vectors_a)
 
 
@@ -363,7 +600,6 @@ class ExSuperEGO(_SuperEGOBase):
         max_value: int | None = None,
         use_normalized: bool = True,
         matcher: str = "csf",
-        n_jobs: int = 1,
     ) -> None:
         super().__init__(
             epsilon,
@@ -375,12 +611,6 @@ class ExSuperEGO(_SuperEGOBase):
         )
         self.matcher_name = matcher
         self._matcher = get_matcher(matcher)
-        if n_jobs < 1:
-            raise ConfigurationError(f"n_jobs must be >= 1, got {n_jobs}")
-        self.n_jobs = int(n_jobs)
-
-    def _init_state(self, state: dict, n_b: int, n_a: int) -> None:
-        state["pairs"] = []
 
     def _leaf_join(
         self,
@@ -394,17 +624,6 @@ class ExSuperEGO(_SuperEGOBase):
         values_b = state["values_b"]
         values_a = state["values_a"]
         threshold = state["threshold"]
-        if self.engine == "numpy":
-            matrix = self._condition_block(
-                values_b[lo_b:hi_b], values_a[lo_a:hi_a], threshold
-            )
-            rows, cols = np.nonzero(matrix)
-            trace.emit_bulk(EventType.MATCH, int(rows.size))
-            trace.emit_bulk(EventType.NO_MATCH, int(matrix.size - rows.size))
-            state["pairs"].extend(
-                zip((rows + lo_b).tolist(), (cols + lo_a).tolist())
-            )
-            return
         for i in range(lo_b, hi_b):
             for j in range(lo_a, hi_a):
                 row = values_a[j : j + 1]
@@ -414,59 +633,40 @@ class ExSuperEGO(_SuperEGOBase):
                 else:
                     trace.emit(EventType.NO_MATCH, f"b#{i}", f"a#{j}")
 
-    def _join_common(
+    def _join_python(
         self, vectors_b: np.ndarray, vectors_a: np.ndarray, trace: EventTrace
     ) -> list[tuple[int, int]]:
-        if self.n_jobs > 1 and self.engine == "numpy":
-            state = self._prepare(vectors_b, vectors_a)
-            self._init_state(state, len(vectors_b), len(vectors_a))
-            state["pairs"] = self._parallel_collect(
-                state, len(vectors_b), len(vectors_a), trace
-            )
-        else:
-            state = self._run(vectors_b, vectors_a, trace)
-        order_b = state["order_b"]
-        order_a = state["order_a"]
+        state = self._run(vectors_b, vectors_a, trace)
+        order_b, order_a = state["order_b"], state["order_a"]
         raw_pairs = [(int(order_b[i]), int(order_a[j])) for i, j in state["pairs"]]
+        return self._cover(raw_pairs, vectors_b, vectors_a, trace)
+
+    def _join_numpy(
+        self, vectors_b: np.ndarray, vectors_a: np.ndarray, trace: EventTrace
+    ) -> list[tuple[int, int]]:
+        state, hits_b, hits_a, cells = self._collect(vectors_b, vectors_a, trace)
+        trace.emit_bulk(EventType.MATCH, hits_b.size)
+        trace.emit_bulk(EventType.NO_MATCH, cells - hits_b.size)
+        with trace.stage("matching"):
+            raw_pairs = list(
+                zip(
+                    state["order_b"][hits_b].tolist(),
+                    state["order_a"][hits_a].tolist(),
+                )
+            )
+            return self._cover(raw_pairs, vectors_b, vectors_a, trace)
+
+    def _cover(
+        self,
+        raw_pairs: list[tuple[int, int]],
+        vectors_b: np.ndarray,
+        vectors_a: np.ndarray,
+        trace: EventTrace,
+    ) -> list[tuple[int, int]]:
+        """One CSF call over all candidate pairs, then verification."""
         if not raw_pairs:
             return []
         matched_b, matched_a = build_adjacency(raw_pairs)
         trace.note(f"CSF over {len(raw_pairs)} candidate pairs")
         matched = self._matcher(matched_b, matched_a)
         return self._verify_pairs(matched, vectors_b, vectors_a)
-
-    def _parallel_collect(
-        self, state: dict, n_b: int, n_a: int, trace: EventTrace
-    ) -> list[tuple[int, int]]:
-        """Collect candidate pairs over ``n_jobs`` B-range slices.
-
-        The paper notes SuperEGO "can run in parallel" (its experiments
-        pin one thread for fairness).  The exact variant parallelises
-        naturally: each worker recurses over a contiguous slice of the
-        EGO-sorted ``B`` against all of ``A`` and candidate collection
-        is order-independent — the single CSF call afterwards makes the
-        final matching identical to the serial run.
-        """
-        import concurrent.futures
-
-        bounds = np.linspace(0, n_b, self.n_jobs + 1, dtype=int)
-
-        def collect(lo_b: int, hi_b: int) -> tuple[list, EventTrace]:
-            local_state = dict(state)
-            local_state["pairs"] = []
-            local_trace = EventTrace(record=False)
-            self._recurse(local_state, lo_b, hi_b, 0, n_a, local_trace)
-            return local_state["pairs"], local_trace
-
-        pairs: list[tuple[int, int]] = []
-        with concurrent.futures.ThreadPoolExecutor(self.n_jobs) as pool:
-            futures = [
-                pool.submit(collect, int(lo), int(hi))
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-                if lo < hi
-            ]
-            for future in futures:
-                chunk_pairs, chunk_trace = future.result()
-                pairs.extend(chunk_pairs)
-                trace.absorb(chunk_trace.counts)
-        return pairs

@@ -139,20 +139,6 @@ class EventTrace:
         if self.metrics is not None:
             self.metrics.inc(EVENTS_METRIC, int(times), type=attr)
 
-    def absorb(self, other: EventCounts) -> None:
-        """Fold another trace's counters in **through the sink**.
-
-        Sub-traces (e.g. the per-slice traces of the thread-parallel
-        SuperEGO candidate collection) accumulate without a registry;
-        merging them via plain counter addition would update
-        :attr:`counts` but skip the metrics mirror, so serial and
-        parallel runs would report different ``repro_core_events_total``
-        series.  Routing the merge through :meth:`emit_bulk` keeps both
-        sides in lockstep.
-        """
-        for kind, attr in _COUNTER_FIELD.items():
-            self.emit_bulk(kind, getattr(other, attr))
-
     def stage(self, name: str):
         """Nestable stage timer (no-op unless a registry is attached)."""
         if self.metrics is None:

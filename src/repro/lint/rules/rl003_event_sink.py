@@ -1,7 +1,7 @@
 """RL003 — pairing-event emission bypassing the sink API.
 
 Every pairing event must flow through ``EventTrace.emit`` /
-``emit_bulk`` / ``absorb`` in ``core/events.py``: the sink keeps the
+``emit_bulk`` in ``core/events.py``: the sink keeps the
 ``EventCounts`` dataclass and the ``repro_core_events_total`` metric
 family in lockstep.  Code that pokes ``trace.counts`` directly (or
 increments the metric family itself) updates one side only — exactly
@@ -52,7 +52,7 @@ class EventSinkBypassRule(Rule):
     rule_id = "RL003"
     title = "event-sink-bypass"
     rationale = (
-        "pairing events must go through EventTrace.emit/emit_bulk/absorb "
+        "pairing events must go through EventTrace.emit/emit_bulk "
         "so EventCounts and the metrics mirror never drift apart"
     )
 
@@ -76,7 +76,7 @@ class EventSinkBypassRule(Rule):
                             target,
                             "direct assignment to .counts bypasses the event "
                             "sink (the metrics mirror is skipped); use "
-                            "EventTrace.absorb()",
+                            "EventTrace.emit_bulk()",
                         )
                     elif target.attr in EVENT_FIELDS and _touches_counts(
                         target.value

@@ -9,8 +9,8 @@ def emit_many(trace, kind, times):
     trace.emit_bulk(kind, times)
 
 
-def merge(trace, other):
-    trace.absorb(other.counts)
+def merge(trace, other, kind):
+    trace.emit_bulk(kind, other.counts.match)
 
 
 def report(trace):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -121,3 +124,45 @@ class TestHybridSpeedClaim:
         superego = ExSuperEGO(1, t=16, use_normalized=False).join(b, a)
         assert hybrid.n_matched == superego.n_matched
         assert hybrid.events.comparisons < superego.events.comparisons
+
+
+class TestPinnedResults:
+    """The hybrid has no python oracle, so its pairs and event counts on
+    two seeded VK couples are pinned: the values the per-leaf recursion
+    produced before the shared level-by-level walk replaced it."""
+
+    # (couple, t, class, matched, min_prune, no_overlap, no_match, match,
+    #  sha256 prefix of the JSON pair list)
+    PINNED = [
+        (2, 4, ApHybrid, 130, 675, 44, 13, 318, "d44ed8aa88f8041b"),
+        (2, 4, ExHybrid, 131, 675, 44, 13, 318, "e9db4b89493c36c4"),
+        (2, 64, ApHybrid, 130, 34, 1901, 161, 318, "462db7489e9ba78a"),
+        (2, 64, ExHybrid, 131, 34, 1901, 161, 318, "e9db4b89493c36c4"),
+        (5, 4, ApHybrid, 112, 624, 60, 15, 321, "b3c61e00222a2a70"),
+        (5, 4, ExHybrid, 113, 624, 60, 15, 321, "dfc0f8fc20fb581c"),
+        (5, 64, ApHybrid, 112, 24, 2302, 335, 321, "b3c61e00222a2a70"),
+        (5, 64, ExHybrid, 113, 24, 2302, 335, 321, "dfc0f8fc20fb581c"),
+    ]
+
+    @pytest.mark.parametrize(
+        "couple, t, cls, matched, min_prune, no_overlap, no_match, match, digest",
+        PINNED,
+        ids=[f"{row[2].name}-{row[0]}-t{row[1]}" for row in PINNED],
+    )
+    def test_pairs_and_events(
+        self, couple, t, cls, matched, min_prune, no_overlap, no_match, match, digest
+    ):
+        from repro.datasets import PAPER_COUPLES, VKGenerator, build_couple
+
+        b, a = build_couple(PAPER_COUPLES[couple], VKGenerator(seed=11), scale=1 / 256)
+        result = cls(1, t=t).join(b, a)
+        pairs = json.dumps(result.pair_tuples()).encode()
+        assert hashlib.sha256(pairs).hexdigest()[:16] == digest
+        assert result.n_matched == matched
+        events = result.events
+        assert (events.min_prune, events.max_prune) == (min_prune, 0)
+        assert (events.no_overlap, events.no_match, events.match) == (
+            no_overlap,
+            no_match,
+            match,
+        )

@@ -142,8 +142,8 @@ def test_rl004_label_drift_points_at_minority_site():
     assert "kind" in drift[0].message
 
 
-def test_rl003_good_fixture_absorb_is_sanctioned():
-    """``absorb`` is the sink-preserving merge; it must never be flagged."""
+def test_rl003_good_fixture_bulk_merge_is_sanctioned():
+    """Merging counts through ``emit_bulk`` keeps the sink; never flagged."""
     report = run_rule("RL003", "rl003_good.py")
     assert report.ok
 

@@ -382,6 +382,28 @@ class TestServiceEndToEnd:
                 assert client.health()["status"] == "ok"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "options",
+        [{"max_value": 0}, {"max_value": -3}, {"max_value": 2.5}, {"n_jobs": 2}],
+        ids=["max_value_zero", "max_value_negative", "max_value_float", "n_jobs"],
+    )
+    def test_superego_options_are_checked(self, options):
+        """A SuperEGO option the method rejects is answered ``invalid``
+        before any work runs, never ``internal`` from inside the join."""
+        with ServerThread(store=_store_with_fleet()) as st:
+            names = st.server.store.names()
+            with ServeClient(*st.address) as client:
+                with pytest.raises(ServeError) as excinfo:
+                    client.join(
+                        names[0],
+                        names[1],
+                        epsilon=EPSILON,
+                        method="ex-superego",
+                        options=options,
+                    )
+                assert excinfo.value.code == "invalid"
+                assert client.health()["status"] == "ok"
+
     def test_zero_deadline_expires_before_execution(self):
         with ServerThread(store=_store_with_fleet()) as st:
             names = st.server.store.names()

@@ -2,19 +2,43 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
+from repro.algorithms import superego
 from repro.algorithms.baseline import ExBaseline
-from repro.algorithms.superego import ApSuperEGO, ExSuperEGO, ego_order, grid_cells
+from repro.algorithms.superego import (
+    ApSuperEGO,
+    ExSuperEGO,
+    ego_order,
+    ego_walk,
+    grid_cells,
+)
 from repro.core.errors import ConfigurationError
+from repro.core.events import EventTrace
 from repro.core.types import Community
+from repro.datasets import PAPER_COUPLES, VKGenerator, build_couple
 from tests.conftest import (
     assert_valid_matching,
     brute_force_candidate_pairs,
     maximum_matching_size,
     random_couple,
 )
+
+
+def assert_engines_agree(python, numpy_, *, exact):
+    """The numpy engine returns the python engine's pairs and events.
+
+    Ap's numpy engine counts no NO MATCH events (it tests cells in
+    bulk), so only Ex compares every counter.
+    """
+    assert numpy_.pair_tuples() == python.pair_tuples()
+    assert numpy_.events.min_prune == python.events.min_prune
+    assert numpy_.events.match == python.events.match
+    if exact:
+        assert numpy_.events == python.events
 
 
 class TestGridHelpers:
@@ -128,43 +152,6 @@ class TestNormalizedMode:
         assert fixed.n_matched <= max(auto.n_matched + 5, auto.n_matched)
 
 
-class TestParallelCollection:
-    """The paper notes SuperEGO can run in parallel; Ex parallelises."""
-
-    @pytest.mark.parametrize("n_jobs", [2, 4])
-    @pytest.mark.parametrize("seed", range(3))
-    def test_parallel_equals_serial(self, seed, n_jobs):
-        vectors_b, vectors_a = random_couple(seed + 300)
-        b, a = Community("B", vectors_b), Community("A", vectors_a)
-        serial = ExSuperEGO(1, t=4).join(b, a)
-        parallel = ExSuperEGO(1, t=4, n_jobs=n_jobs).join(b, a)
-        assert set(serial.pair_tuples()) == set(parallel.pair_tuples())
-
-    def test_parallel_raw_mode(self):
-        vectors_b, vectors_a = random_couple(77)
-        b, a = Community("B", vectors_b), Community("A", vectors_a)
-        serial = ExSuperEGO(1, use_normalized=False, t=4).join(b, a)
-        parallel = ExSuperEGO(1, use_normalized=False, t=4, n_jobs=3).join(b, a)
-        assert set(serial.pair_tuples()) == set(parallel.pair_tuples())
-
-    def test_more_jobs_than_rows(self):
-        vectors_b, vectors_a = random_couple(5, n_b=4, n_a=6)
-        b, a = Community("B", vectors_b), Community("A", vectors_a)
-        result = ExSuperEGO(1, t=2, n_jobs=16).join(b, a)
-        result.check_one_to_one()
-
-    def test_invalid_n_jobs(self):
-        with pytest.raises(ConfigurationError):
-            ExSuperEGO(1, n_jobs=0)
-
-    def test_python_engine_stays_serial(self):
-        vectors_b, vectors_a = random_couple(9)
-        b, a = Community("B", vectors_b), Community("A", vectors_a)
-        result = ExSuperEGO(1, t=4, n_jobs=4, engine="python").join(b, a)
-        reference = ExSuperEGO(1, t=4, engine="python").join(b, a)
-        assert set(result.pair_tuples()) == set(reference.pair_tuples())
-
-
 class TestConfiguration:
     def test_t_must_be_at_least_two(self):
         with pytest.raises(ConfigurationError):
@@ -183,26 +170,35 @@ class TestConfiguration:
         for cls in (ApSuperEGO, ExSuperEGO):
             python = cls(1, engine="python", t=4).join(b, a)
             numpy_ = cls(1, engine="numpy", t=4).join(b, a)
-            assert set(python.pair_tuples()) == set(numpy_.pair_tuples())
+            assert_engines_agree(python, numpy_, exact=cls.exact)
+
+    @pytest.mark.parametrize("cls", [ApSuperEGO, ExSuperEGO])
+    @pytest.mark.parametrize("max_value", [0, -3, 2.5, True, "7", 2**63])
+    def test_max_value_must_be_a_positive_integer(self, cls, max_value):
+        with pytest.raises(ConfigurationError, match="max_value"):
+            cls(1, max_value=max_value)
+
+    def test_max_value_accepts_positive_integers(self):
+        assert ExSuperEGO(1, max_value=1).max_value == 1
+        assert ApSuperEGO(1, max_value=2**63 - 1).max_value == 2**63 - 1
+        assert ExSuperEGO(1).max_value is None
+
+    def test_no_parallel_option(self):
+        with pytest.raises(TypeError):
+            ExSuperEGO(1, n_jobs=2)
 
 
-class TestParallelMetricsParity:
-    """The thread-parallel candidate collection merges per-slice traces
-    through ``EventTrace.absorb``, so the mirrored
-    ``repro_core_events_total`` family must agree exactly with the
-    trace's own counters (regression test for a merge that updated the
-    counters but bypassed the metrics sink).  The counters themselves
-    may differ from a serial run: pruning depends on scan order within
-    each slice."""
+class TestEventsMetricParity:
+    """The mirrored ``repro_core_events_total`` family agrees exactly
+    with the trace's own counters."""
 
-    @pytest.mark.parametrize("n_jobs", [1, 2, 4])
-    def test_events_metric_mirrors_counts(self, n_jobs):
+    def test_events_metric_mirrors_counts(self):
         from repro.obs.registry import MetricsRegistry
 
         vectors_b, vectors_a = random_couple(11, n_b=40, n_a=48)
         b, a = Community("B", vectors_b), Community("A", vectors_a)
 
-        algorithm = ExSuperEGO(1, t=4, n_jobs=n_jobs)
+        algorithm = ExSuperEGO(1, t=4)
         algorithm.metrics = MetricsRegistry()
         result = algorithm.join(b, a)
 
@@ -212,3 +208,126 @@ class TestParallelMetricsParity:
         )
         for field in ("min_prune", "max_prune", "no_overlap", "no_match", "match"):
             assert mirrored.get(field, 0) == getattr(result.events, field), field
+
+    @pytest.mark.parametrize("cls", [ApSuperEGO, ExSuperEGO])
+    def test_numpy_engine_times_its_stages(self, cls):
+        from repro.obs.registry import MetricsRegistry
+
+        vectors_b, vectors_a = random_couple(11, n_b=40, n_a=48)
+        algorithm = cls(1, t=4)
+        algorithm.metrics = MetricsRegistry()
+        result = algorithm.join(Community("B", vectors_b), Community("A", vectors_a))
+        for stage in ("encode", "enumerate", "matching"):
+            assert f"join.pairing.{stage}" in result.stage_seconds, stage
+
+
+@functools.cache
+def _paper_couples() -> tuple[tuple[Community, Community], ...]:
+    generator = VKGenerator(seed=7)
+    return tuple(
+        build_couple(spec, generator, scale=1 / 1024) for spec in PAPER_COUPLES[:4]
+    )
+
+
+@functools.cache
+def _python_join(cls, index: int, t: int, normalized: bool):
+    first, second = _paper_couples()[index]
+    return cls(1, engine="python", t=t, use_normalized=normalized).join(first, second)
+
+
+class TestNumpyWalkParity:
+    """The level-by-level walk and the blocked leaf kernel against the
+    python engine's recursion, whatever the block size."""
+
+    @pytest.mark.parametrize("block", [None, 1, 7])
+    @pytest.mark.parametrize("normalized", [True, False], ids=["normalised", "raw"])
+    @pytest.mark.parametrize("t", [2, 3, 32])
+    def test_paper_couples(self, monkeypatch, t, normalized, block):
+        if block is not None:
+            monkeypatch.setattr(superego, "_LEAF_BLOCK_CELLS", block)
+        for index, (first, second) in enumerate(_paper_couples()):
+            for cls in (ApSuperEGO, ExSuperEGO):
+                python = _python_join(cls, index, t, normalized)
+                numpy_ = cls(1, t=t, use_normalized=normalized).join(first, second)
+                assert_engines_agree(python, numpy_, exact=cls.exact)
+
+    def test_large_t_is_one_leaf(self):
+        first, second = _paper_couples()[3]
+        python = ExSuperEGO(1, engine="python", t=10**6).join(first, second)
+        numpy_ = ExSuperEGO(1, t=10**6).join(first, second)
+        assert_engines_agree(python, numpy_, exact=True)
+        assert numpy_.events.comparisons == first.n_users * second.n_users
+
+
+class TestFloat32Boundary:
+    """Counters up to 10^7 with epsilon 15,000: pairs whose integer L1
+    distance is ``d·ε … d·ε + 5``.  Some of them still pass the float32
+    join condition, so the numpy engine's integer screen may only reject
+    a cell with a rounding margin above ``d·ε``."""
+
+    EPSILON = 15_000
+    TOP = 10**7
+
+    def couple(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        rng = np.random.default_rng(3)
+        n, d = 120, 27
+        low, high = d * self.EPSILON, self.TOP - d * self.EPSILON
+        vectors_b = rng.integers(low, high, size=(n, d))
+        vectors_b[0, 0] = high
+        excess = np.arange(n) % 6
+        steps = np.empty((n, d), dtype=np.int64)
+        for row, extra in enumerate(excess):
+            total = d * self.EPSILON + int(extra)
+            cuts = np.sort(rng.choice(np.arange(1, total), size=d - 1, replace=False))
+            steps[row] = np.diff(np.concatenate(([0], cuts, [total])))
+        vectors_a = vectors_b + rng.choice([-1, 1], size=(n, d)) * steps
+        return vectors_b, vectors_a, excess
+
+    def test_margin_keeps_float32_matches(self):
+        vectors_b, vectors_a, excess = self.couple()
+        n_dims = vectors_b.shape[1]
+        # Precondition: pairs above d·ε that float32 still matches.
+        scale = int(max(vectors_b.max(), vectors_a.max()))
+        condition = np.abs(
+            (vectors_a / scale).astype(np.float32) - (vectors_b / scale).astype(np.float32)
+        ).sum(axis=1) <= np.float32(n_dims * self.EPSILON / scale)
+        assert (condition & (excess > 0)).any()
+        b, a = Community("B", vectors_b), Community("A", vectors_a)
+        for cls in (ApSuperEGO, ExSuperEGO):
+            python = cls(self.EPSILON, engine="python").join(b, a)
+            numpy_ = cls(self.EPSILON).join(b, a)
+            assert_engines_agree(python, numpy_, exact=cls.exact)
+
+
+class _RecordingSuperEGO(ExSuperEGO):
+    """Python-engine SuperEGO that records its leaves instead of joining."""
+
+    def _leaf_join(self, state, lo_b, hi_b, lo_a, hi_a, trace):
+        state["pairs"].append((lo_b, hi_b, lo_a, hi_a))
+
+
+class TestWalkMatchesRecursion:
+    """``ego_walk`` reaches the leaves ``_recurse`` reaches, in the same
+    order, and prunes as many rectangles."""
+
+    @pytest.mark.parametrize("normalized", [True, False], ids=["aggregate", "per-dim"])
+    @pytest.mark.parametrize("t", [2, 3, 5, 64])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_leaves_and_prunes(self, seed, t, normalized):
+        rng = np.random.default_rng(seed)
+        sizes = [(1, 1), (1, 9), (13, 1)] + [
+            tuple(rng.integers(1, 150, size=2)) for _ in range(3)
+        ]
+        for n_b, n_a in sizes:
+            n_dims = int(rng.integers(1, 6))
+            high = int(rng.integers(2, 40))
+            vectors_b = rng.integers(0, high, size=(n_b, n_dims))
+            vectors_a = rng.integers(0, high, size=(n_a, n_dims))
+            recorder = _RecordingSuperEGO(1, t=t, use_normalized=normalized)
+            trace = EventTrace()
+            state = recorder._run(vectors_b, vectors_a, trace)
+            leaves, pruned = ego_walk(
+                state["raw_b"], state["raw_a"], t, 1, aggregate=normalized
+            )
+            assert [tuple(leaf) for leaf in leaves.tolist()] == state["pairs"]
+            assert pruned == trace.counts.min_prune
