@@ -4,12 +4,11 @@
 # Exercises the full bench code path (reference vs engine-serial vs
 # engine-parallel vs cache-warm, byte-identical ranking assertions, the
 # supervised/retry-path faults bench, the serving-layer load and
-# burst-shedding benches, plus the incremental delta-maintenance bench,
-# the persistent-catalog bench and the shard-scaling bench) in a few
-# seconds.  Smoke mode skips the speedup assertions and does NOT
-# overwrite BENCH_engine.json — run the benches without these knobs to
-# record real numbers (including the "faults", "serve", "delta",
-# "catalog" and "shard" sections).
+# burst-shedding benches, plus the incremental delta-maintenance bench
+# and the persistent-catalog bench) in a few seconds.  Smoke mode skips
+# the speedup assertions and does NOT overwrite BENCH_engine.json — run
+# the benches without these knobs to record real numbers (including the
+# "faults", "serve", "delta" and "catalog" sections).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -39,14 +38,7 @@ export REPRO_BENCH_CATALOG_PER_BAND=3
 export REPRO_BENCH_CATALOG_USERS=10
 export REPRO_BENCH_CATALOG_DIMS=4
 
-export REPRO_BENCH_SHARD_SMOKE=1
-export REPRO_BENCH_SHARD_GROUPS=8
-export REPRO_BENCH_SHARD_PER_GROUP=3
-export REPRO_BENCH_SHARD_USERS=6
-export REPRO_BENCH_SHARD_SHARDS=1,2
-
 PYTHONPATH=src python -m pytest \
   benchmarks/bench_engine_batch.py benchmarks/bench_serve_load.py \
   benchmarks/bench_incremental_updates.py benchmarks/bench_catalog.py \
-  benchmarks/bench_shard_scaling.py \
   -m bench -q -s "$@"

@@ -8,14 +8,17 @@ only the survivors.  :func:`top_k_pairs` packages that pipeline over an
 arbitrary community collection.
 
 Filtering and verification are separate steps.  The per-dimension
-envelope screen first proves most pairs' similarity 0 without a join;
-only the pairs it cannot rule out become
+envelope screen (one sort-and-sweep for every source) first proves
+most pairs' similarity 0 without a join; only the pairs it cannot rule
+out become
 :class:`~repro.engine.PairJob` entries on the
 :class:`~repro.engine.BatchEngine` (which brings the join-result cache
 and multi-process execution, ``n_jobs``), and the proven-zero pairs
 are ranked from a lazy similarity-0 tail.  ``top_k_pairs_reference``
 preserves the pre-engine serial loop as a differential-testing oracle
-and as the baseline the engine benchmarks measure against.
+and as the baseline the engine benchmarks measure against.  Every
+source, the oracle included, enumerates a pair as (lower name, higher
+name), so a ranking does not depend on the order of its input.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from ..engine import (
     canonical_options,
 )
 from ..engine.batch import SCREEN_ENGINE
-from ..engine.envelope import community_envelope, separation_matrix, stack_envelopes
+from ..engine.envelope import community_envelope, stack_envelopes, surviving_pairs
 from ..obs import JoinTelemetry, MetricsRegistry
 
 __all__ = ["PairScore", "top_k_pairs", "top_k_pairs_reference"]
@@ -88,6 +91,11 @@ def _validate(communities: list[Community], k: int, screen_margin: float) -> Non
     names = [community.name for community in communities]
     if len(set(names)) != len(names):
         raise ConfigurationError("community names must be unique for ranking")
+
+
+def _in_name_order(communities: Sequence[Community]) -> list[Community]:
+    """Ap-MinMax is order-sensitive on equal-size pairs: fix the order."""
+    return sorted(communities, key=lambda community: community.name)
 
 
 def _pool_size(n_screened: int, k: int, screen_margin: float) -> int:
@@ -140,13 +148,14 @@ def top_k_pairs(
 
     ``communities`` may also be a
     :class:`~repro.catalog.PersistentCatalog` (optionally restricted to
-    ``keys``): the envelope screen then runs as the catalog's indexed
-    window query and only the surviving communities' vectors are loaded
+    ``keys``): the envelope screen then runs on the catalog's stored
+    envelopes and only the surviving communities' vectors are loaded
     from disk, so a sweep over thousands of on-disk communities touches
     O(survivors) vector rows.  Communities are ranked under their
     catalog keys (keys are unique; stored display names may not be).
     The returned ranking is identical to loading everything and calling
-    this function with the in-memory list.
+    this function with the in-memory list, in any order: every source
+    enumerates a pair as (lower name, higher name).
     """
     epsilon = validate_epsilon(epsilon)
     # Building both methods once checks their names and options whatever
@@ -186,6 +195,7 @@ def top_k_pairs(
         for community in communities[1:]:
             if community.n_dims != communities[0].n_dims:
                 raise DimensionMismatchError(communities[0].n_dims, community.n_dims)
+        communities = _in_name_order(communities)
         names = [community.name for community in communities]
         sizes = [community.n_users for community in communities]
         joinable = _joinable_mask(sizes)
@@ -194,7 +204,9 @@ def top_k_pairs(
             mins, maxs = stack_envelopes(
                 [community_envelope(community) for community in communities]
             )
-            live = joinable & ~separation_matrix(mins, maxs, epsilon)
+            survives = np.zeros_like(joinable)
+            survives[surviving_pairs(mins, maxs, epsilon)] = True
+            live = joinable & survives
             if metrics is not None:
                 tested = int(joinable.sum())
                 metrics.inc("repro_engine_envelope_tests_total", tested)
@@ -247,8 +259,8 @@ def _rank_pairs(
 ) -> list[PairScore]:
     """Screen, merge and refine one source's pairs.
 
-    Pair ``(i, j)`` with ``i < j`` indexes ``names``/``sizes`` in source
-    order; ``joinable`` and ``live`` are upper-triangular masks over
+    Pair ``(i, j)`` with ``i < j`` indexes ``names``/``sizes``, which
+    are in name order; ``joinable`` and ``live`` are upper-triangular masks over
     those indices, and job index ``slots[i]`` names community ``i`` in
     the engine (needed only when it belongs to a live pair).  Live
     pairs alone become engine jobs.  Their screened ranking merges with
@@ -277,7 +289,7 @@ def _rank_pairs(
         ),
         key=rank,
     )
-    merged = heapq.merge(screened, _zero_tail(names, joinable & ~live), key=rank)
+    merged = heapq.merge(screened, _zero_tail(joinable & ~live), key=rank)
     pool_size = _pool_size(int(joinable.sum()), k, screen_margin)
     pool = list(itertools.islice(merged, pool_size))
     refine_pairs = [(first, second) for _, first, second in pool if live[first, second]]
@@ -301,20 +313,15 @@ def _rank_pairs(
     return scores[:k]
 
 
-def _zero_tail(
-    names: Sequence[str], tail: np.ndarray
-) -> Iterator[tuple[float, int, int]]:
-    """``(0.0, i, j)`` for every pair ``tail`` marks, lazily, in name order.
+def _zero_tail(tail: np.ndarray) -> Iterator[tuple[float, int, int]]:
+    """``(0.0, i, j)`` for every pair ``tail`` marks, lazily, row by row.
 
-    Pair ``(i, j)`` with ``i < j`` is named ``(names[i], names[j])``;
-    the entries come out sorted on those names, the order the ranking
-    merges on, even when the source order is not name order.
+    Sources index their communities in name order, so this is the name
+    order the ranking merges on.
     """
-    order = sorted(range(len(names)), key=names.__getitem__)
-    by_name = tail[:, order]
-    for first in order:
-        for column in np.flatnonzero(by_name[first]):
-            yield (0.0, first, order[column])
+    for first, row in enumerate(tail):
+        for second in np.flatnonzero(row).tolist():
+            yield (0.0, first, second)
 
 
 def _zero_score(
@@ -370,7 +377,7 @@ def top_k_pairs_reference(
     _validate(communities, k, screen_margin)
     screener = get_algorithm(screen_method, epsilon, **options)
     screened: list[tuple[float, Community, Community]] = []
-    for first, second in itertools.combinations(communities, 2):
+    for first, second in itertools.combinations(_in_name_order(communities), 2):
         if not _joinable(first, second):
             continue
         result = screener.join(first, second)

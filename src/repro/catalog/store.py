@@ -24,7 +24,7 @@ Layout — three tables in one WAL-mode database:
   (the WAL journal rolls the torn transaction back) and two handles on
   the same database never clobber each other's entries.
 
-The window query runs in two stages, both vector-free:
+The single-probe window query runs in two stages, both vector-free:
 
 1. **Indexed range scan.**  Envelopes ``A`` and ``B`` survive the
    screen only if *every* dimension ``t`` satisfies
@@ -44,6 +44,10 @@ The window query runs in two stages, both vector-free:
    test of :func:`~repro.engine.envelope.envelopes_separated`.  The
    surviving set is therefore *identical* to the in-memory envelope
    screen — the tests assert it pair for pair.
+
+All-pairs candidates skip the index (where sums coincide, the window
+admits every pair): one read of the envelope rows feeds the shared
+sort-and-sweep of :func:`~repro.engine.envelope.candidate_pairs`.
 """
 
 from __future__ import annotations
@@ -60,8 +64,10 @@ import numpy as np
 from ..algorithms import get_algorithm
 from ..core.errors import ValidationError
 from ..core.types import Community
+from ..core.validation import validate_epsilon
 from ..engine.cache import canonical_options
 from ..engine.envelope import Envelope, community_envelope, envelopes_separated
+from ..engine.envelope import candidate_pairs as envelope_candidates
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs.registry import MetricsRegistry
@@ -418,6 +424,19 @@ class PersistentCatalog:
             mins=_decode_envelope(row[0]), maxs=_decode_envelope(row[1])
         )
 
+    def envelopes(self, keys: Iterable[str] | None = None) -> dict[str, Envelope]:
+        """Stored envelopes in key order (only ``keys``'s, when given)."""
+        with self._lock:
+            rows = self._connection.execute(
+                "SELECT key, env_min, env_max FROM communities ORDER BY key"
+            ).fetchall()
+        wanted = None if keys is None else set(keys)
+        return {
+            key: Envelope(mins=_decode_envelope(low), maxs=_decode_envelope(high))
+            for key, low, high in rows
+            if wanted is None or key in wanted
+        }
+
     # -- vector reads ----------------------------------------------------
     def get(self, key: str) -> Community:
         """Load one community's vectors (the only vector-touching read)."""
@@ -473,9 +492,7 @@ class PersistentCatalog:
         envelope columns, never vectors.  The result is exactly
         ``{k : not envelopes_separated(envelope, envelope_of(k), eps)}``.
         """
-        epsilon = int(epsilon)
-        if epsilon < 0:
-            raise ValidationError(f"epsilon must be >= 0, got {epsilon}")
+        epsilon = validate_epsilon(epsilon)
         d = envelope.n_dims
         slack = epsilon * d
         probe_sum_min = int(envelope.mins.sum())
@@ -507,62 +524,25 @@ class PersistentCatalog:
     def candidate_pairs(
         self, epsilon: int, *, keys: Sequence[str] | None = None
     ) -> list[tuple[str, str]]:
-        """All unordered pairs surviving the envelope screen.
+        """All unordered pairs ``(a, b)``, ``a < b``, surviving the screen.
 
-        One indexed self-join emits the stage-1 candidates (the scalar
-        sum-envelope condition applied to both orientations), then the
-        per-dimension refinement runs vectorised over the emitted rows.
-        ``keys`` restricts the sweep to a subset; no vectors load.
+        One vector-free read of the envelope rows (restricted to
+        ``keys`` when given) feeds the sort-and-sweep of
+        :func:`~repro.engine.envelope.candidate_pairs`;
+        ``repro_catalog_rows_scanned_total`` counts the rows read.
         """
-        epsilon = int(epsilon)
-        if epsilon < 0:
-            raise ValidationError(f"epsilon must be >= 0, got {epsilon}")
-        restrict = ""
-        parameters: list[object] = [epsilon, epsilon]
-        if keys is not None:
-            marks = ",".join("?" for _ in keys)
-            restrict = (
-                f" AND a.key IN ({marks}) AND b.key IN ({marks})"
-                if keys
-                else " AND 0"
-            )
-            parameters.extend(keys)
-            parameters.extend(keys)
-        sql = (
-            "SELECT a.key, a.env_min, a.env_max, "
-            "       b.key, b.env_min, b.env_max "
-            "FROM communities AS a JOIN communities AS b "
-            "  ON b.key > a.key AND b.n_dims = a.n_dims "
-            " AND b.sum_min <= a.sum_max + ? * a.n_dims "
-            " AND a.sum_min <= b.sum_max + ? * a.n_dims"
-            + restrict
-            + " ORDER BY a.key, b.key"
-        )
+        envelopes = self.envelopes(keys)
+        pairs = envelope_candidates(envelopes, epsilon)
         with self._lock:
-            rows = self._connection.execute(sql, parameters).fetchall()
             self.inc("repro_catalog_window_queries_total")
-            self.inc("repro_catalog_rows_scanned_total", len(rows))
-            pairs: list[tuple[str, str]] = []
-            if rows:
-                mins_a = np.vstack([_decode_envelope(row[1]) for row in rows])
-                maxs_a = np.vstack([_decode_envelope(row[2]) for row in rows])
-                mins_b = np.vstack([_decode_envelope(row[4]) for row in rows])
-                maxs_b = np.vstack([_decode_envelope(row[5]) for row in rows])
-                separated = ((mins_a - maxs_b) > epsilon).any(axis=1) | (
-                    (mins_b - maxs_a) > epsilon
-                ).any(axis=1)
-                pairs = [
-                    (row[0], row[3])
-                    for row, out in zip(rows, separated)
-                    if not out
-                ]
+            self.inc("repro_catalog_rows_scanned_total", len(envelopes))
             self.inc("repro_catalog_survivors_total", len(pairs))
         return pairs
 
     def pair_screened(self, key_b: str, key_a: str, epsilon: int) -> bool:
         """True when the stored envelopes prove zero similarity."""
         return envelopes_separated(
-            self.envelope(key_b), self.envelope(key_a), int(epsilon)
+            self.envelope(key_b), self.envelope(key_a), validate_epsilon(epsilon)
         )
 
     def window_query_plan(self) -> str:
@@ -589,7 +569,7 @@ class PersistentCatalog:
         either community invalidates its entries; a hit is served from
         the metadata and cache tables alone — zero vector reads.
         """
-        epsilon = int(epsilon)
+        epsilon = validate_epsilon(epsilon)
         record_b = self.metadata(key_b)
         record_a = self.metadata(key_a)
         options_repr = repr(canonical_options(options))

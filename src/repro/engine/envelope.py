@@ -20,11 +20,12 @@ and Eq. (1) evaluates to 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
 from ..core.types import Community
+from ..core.validation import validate_epsilon
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs.registry import MetricsRegistry
@@ -34,11 +35,17 @@ __all__ = [
     "community_envelope",
     "envelopes_separated",
     "stack_envelopes",
-    "separation_matrix",
+    "surviving_pairs",
+    "candidate_pairs",
 ]
 
 #: Instance-level memo attribute of :func:`community_envelope`.
 _ENVELOPE_CACHE_ATTR = "_envelope_cache"
+
+#: Most candidate pairs :func:`surviving_pairs` expands and tests at once.
+_SWEEP_BLOCK_PAIRS = 1 << 15
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -86,22 +93,73 @@ def stack_envelopes(
     return mins, maxs
 
 
-def separation_matrix(
+def surviving_pairs(
     mins: np.ndarray, maxs: np.ndarray, epsilon: int
-) -> np.ndarray:
-    """All-pairs envelope separation in one broadcast op.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs ``(first, second)`` that no dimension separates.
 
-    ``mins``/``maxs`` are the stacked ``(C, d)`` matrices of
-    :func:`stack_envelopes`; the result is a symmetric ``(C, C)``
-    boolean matrix whose ``[i, j]`` entry equals
-    ``envelopes_separated(envelopes[i], envelopes[j], epsilon)`` —
-    all-pairs top-k uses it to screen every pair at once, before any
-    engine job exists.
+    ``mins``/``maxs`` are the stacked int64 ``(C, d)`` bounds of
+    :func:`stack_envelopes`.  The result, ``first < second`` and sorted
+    by ``(first, second)``, is exactly the pairs
+    :func:`envelopes_separated` does not separate.  Sorted on one
+    dimension's minimum, the later member of a surviving pair has its
+    minimum within the earlier one's max + epsilon, so each window of
+    partners is one ``searchsorted``.  The dimension with the fewest
+    window pairs is swept and its windows are tested on every dimension
+    in blocks of at most ``_SWEEP_BLOCK_PAIRS``: memory is O(C·d) plus
+    one block plus the survivors, never ``(C, C)``.
     """
-    # gap[i, j, t] = mins[j, t] - maxs[i, t]: community j strictly above i.
-    gap = mins[None, :, :] - maxs[:, None, :]
-    one_way = (gap > epsilon).any(axis=2)
-    return one_way | one_way.T
+    # Counters are non-negative, so every gap fits int64 and a larger
+    # epsilon admits what the int64 maximum admits; max + epsilon then
+    # saturates there instead of wrapping.
+    epsilon = min(int(epsilon), _INT64_MAX)
+    reach = np.minimum(maxs, _INT64_MAX - epsilon) + epsilon
+    sweeps = []
+    for dim in range(mins.shape[1]):
+        order = np.argsort(mins[:, dim], kind="stable")
+        ends = np.searchsorted(mins[order, dim], reach[order, dim], side="right")
+        widths = ends - np.arange(1, len(order) + 1)
+        sweeps.append((int(widths.sum()), order, widths))
+    total, order, widths = min(sweeps, key=lambda sweep: sweep[0])
+    starts = np.concatenate(([0], np.cumsum(widths)))
+    firsts = [np.empty(0, dtype=np.int64)]
+    seconds = [np.empty(0, dtype=np.int64)]
+    for low in range(0, total, _SWEEP_BLOCK_PAIRS):
+        flat = np.arange(low, min(low + _SWEEP_BLOCK_PAIRS, total))
+        position = np.searchsorted(starts, flat, side="right") - 1
+        one = order[position]
+        other = order[position + 1 + (flat - starts[position])]
+        keep = np.ones(len(flat), dtype=bool)
+        for dim in range(mins.shape[1]):
+            keep &= mins[other, dim] - maxs[one, dim] <= epsilon
+            keep &= mins[one, dim] - maxs[other, dim] <= epsilon
+        one, other = one[keep], other[keep]
+        firsts.append(np.minimum(one, other))
+        seconds.append(np.maximum(one, other))
+    first, second = np.concatenate(firsts), np.concatenate(seconds)
+    ranked = np.lexsort((second, first))
+    return first[ranked], second[ranked]
+
+
+def candidate_pairs(
+    envelopes: Mapping[str, Envelope], epsilon: int
+) -> list[tuple[str, str]]:
+    """Sorted name pairs ``(a, b)``, ``a < b``, that survive the screen.
+
+    Only communities of equal ``n_dims`` pair; each such group is swept
+    by :func:`surviving_pairs`.
+    """
+    epsilon = validate_epsilon(epsilon)
+    groups: dict[int, list[str]] = {}
+    for name in sorted(envelopes):
+        groups.setdefault(envelopes[name].n_dims, []).append(name)
+    pairs: list[tuple[str, str]] = []
+    for names in groups.values():
+        first, second = surviving_pairs(
+            *stack_envelopes([envelopes[name] for name in names]), epsilon
+        )
+        pairs.extend(zip([names[i] for i in first], [names[j] for j in second]))
+    return sorted(pairs) if len(groups) > 1 else pairs
 
 
 def envelopes_separated(

@@ -422,9 +422,9 @@ def plan_join_batch(
 def execute_candidates_work(work: CandidatesWork) -> tuple[dict, dict | None]:
     """Run one local candidate scan (executor thread).
 
-    A catalog-backed store answers from its indexed envelope screen
-    (zero vector loads for never-materialised keys); a plain store
-    screens its snapshots' envelopes.  Either way the result is the
+    A catalog-backed store screens its catalog rows (zero vector loads
+    for never-materialised keys) and its snapshots' envelopes; a plain
+    store screens its snapshots' envelopes.  Either way the result is the
     store's local slice of the surviving-pair set.
     """
     pairs = work.store.candidate_pairs(work.epsilon)

@@ -28,6 +28,8 @@ from ..core.delta import DeltaJoinMaintainer
 from ..core.errors import ValidationError
 from ..core.incremental import IncrementalCommunity
 from ..core.types import Community
+from ..engine.envelope import Envelope, community_envelope
+from ..engine.envelope import candidate_pairs as envelope_candidates
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs.registry import MetricsRegistry
@@ -242,39 +244,15 @@ class CommunityStore:
         asks every shard for its local candidate pairs and unions them,
         so only the surviving couples ever carry join work.  Pairs are
         ``(a, b)`` with ``a < b``, sorted; communities of different
-        dimensionality never pair (their similarity is undefined, and
-        the screen matrices require a common ``d``).
+        dimensionality never pair (their similarity is undefined).
         """
-        from ..engine.envelope import (
-            community_envelope,
-            separation_matrix,
-            stack_envelopes,
-        )
+        return envelope_candidates(self._envelopes(self.names()), epsilon)
 
-        epsilon = int(epsilon)
-        if epsilon < 0:
-            raise ValidationError(f"epsilon must be >= 0, got {epsilon}")
-        names = self.names()
-        communities = {name: self.snapshot(name).community for name in names}
-        by_dims: dict[int, list[str]] = {}
-        for name in names:
-            by_dims.setdefault(communities[name].n_dims, []).append(name)
-        pairs: list[tuple[str, str]] = []
-        for dims in sorted(by_dims):
-            group = by_dims[dims]
-            if len(group) < 2:
-                continue
-            mins, maxs = stack_envelopes(
-                [community_envelope(communities[name]) for name in group]
-            )
-            separated = separation_matrix(mins, maxs, epsilon)
-            pairs.extend(
-                (group[i], group[j])
-                for i in range(len(group))
-                for j in range(i + 1, len(group))
-                if not separated[i, j]
-            )
-        return sorted(pairs)
+    def _envelopes(self, names: Iterable[str]) -> dict[str, Envelope]:
+        """The current snapshots' envelopes of ``names``."""
+        return {
+            name: community_envelope(self.snapshot(name).community) for name in names
+        }
 
     def describe(self) -> dict[str, dict[str, object]]:
         """Per-community metadata for the ``stats`` endpoint."""
@@ -425,42 +403,14 @@ class CatalogBackedStore(CommunityStore):
     def candidate_pairs(self, epsilon: int) -> list[tuple[str, str]]:
         """Candidate pairs over catalog rows *and* materialised entries.
 
-        Keys never faulted in are screened entirely inside the
-        catalog's indexed query (no vector loads); keys that live in
-        the store — faulted in, re-registered or freshly registered,
-        any of which may have drifted from the catalog row — are
-        screened from their current snapshots against the clean keys
-        (one window query each) and against each other pairwise.
+        Keys never faulted in are screened from their catalog rows (no
+        vector loads); keys that live in the store — faulted in,
+        re-registered or freshly registered, any of which may have
+        drifted from the catalog row — from their current snapshots.
         """
-        from ..engine.envelope import community_envelope, envelopes_separated
-
-        epsilon = int(epsilon)
-        if epsilon < 0:
-            raise ValidationError(f"epsilon must be >= 0, got {epsilon}")
-        with self._registry_lock:
-            dirty = sorted(self._entries)
-        clean = sorted(set(self._catalog.keys()) - set(dirty))
-        pairs = set(self._catalog.candidate_pairs(epsilon, keys=clean))
-        clean_set = set(clean)
-        dirty_envelopes = {
-            name: community_envelope(self.snapshot(name).community)
-            for name in dirty
-        }
-        for name in dirty:
-            for other in self._catalog.window_candidates(
-                dirty_envelopes[name], epsilon, exclude=name
-            ):
-                if other in clean_set:
-                    pairs.add((min(name, other), max(name, other)))
-        for index, name in enumerate(dirty):
-            for other in dirty[index + 1 :]:
-                first_env = dirty_envelopes[name]
-                second_env = dirty_envelopes[other]
-                if first_env.n_dims != second_env.n_dims:
-                    continue
-                if not envelopes_separated(first_env, second_env, epsilon):
-                    pairs.add((name, other))
-        return sorted(pairs)
+        envelopes = self._catalog.envelopes()
+        envelopes.update(self._envelopes(self.loaded_names()))
+        return envelope_candidates(envelopes, epsilon)
 
     def __len__(self) -> int:
         return len(self.names())

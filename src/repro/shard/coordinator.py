@@ -5,7 +5,7 @@ The coordinator re-drives the single-host catalog ranking of
 shards:
 
 1. **Candidate scan** — every shard answers ``candidates`` from its
-   local indexed envelope screen; the union (deduplicated across
+   local envelope screen; the union (deduplicated across
    replicated components) equals the union catalog's surviving set,
    because the partitioner co-locates every candidate pair at plan
    epsilon.
@@ -51,7 +51,8 @@ from ..catalog import CatalogRecord, PersistentCatalog
 from ..core.errors import ConfigurationError, ReproError
 from ..core.types import CSJResult
 from ..core.validation import validate_epsilon
-from ..engine.envelope import envelopes_separated, separation_matrix, stack_envelopes
+from ..engine.envelope import candidate_pairs as envelope_candidates
+from ..engine.envelope import envelopes_separated
 from ..obs import MetricsRegistry
 
 # Submodule-direct import on purpose: repro.serve.server imports
@@ -245,24 +246,11 @@ class ShardCoordinator:
         reported lost) and query epsilons above the plan epsilon
         (where co-location is no longer guaranteed).
         """
-        by_dims: dict[int, list[str]] = {}
-        for key in keys:
-            by_dims.setdefault(self.plan.metadata[key][1], []).append(key)
-        pairs: set[tuple[str, str]] = set()
-        for group in by_dims.values():
-            if len(group) < 2:
-                continue
-            mins, maxs = stack_envelopes(
-                [self.plan.envelope_of(key) for key in group]
+        return set(
+            envelope_candidates(
+                {key: self.plan.envelope_of(key) for key in keys}, epsilon
             )
-            separated = separation_matrix(mins, maxs, int(epsilon))
-            pairs.update(
-                (group[i], group[j])
-                for i in range(len(group))
-                for j in range(i + 1, len(group))
-                if not separated[i, j]
-            )
-        return pairs
+        )
 
     @staticmethod
     def _joinable_count(sizes: Sequence[int]) -> int:

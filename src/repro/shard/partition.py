@@ -4,7 +4,7 @@ The partitioner answers one planning question: *which communities must
 live together so a fleet of independent CSJ shard servers can answer
 any candidate pair locally?*  The candidate graph at the plan epsilon
 (vertices = catalog keys, edges = pairs surviving the catalog's
-indexed envelope screen) decides it — two communities that can ever
+envelope screen) decides it — two communities that can ever
 have nonzero similarity at ``epsilon' <= epsilon`` are connected, so
 placing whole connected components keeps every live pair co-located.
 
@@ -42,6 +42,7 @@ import numpy as np
 from ..algorithms import get_algorithm
 from ..catalog import PersistentCatalog
 from ..core.errors import ConfigurationError, ValidationError
+from ..core.validation import validate_epsilon
 from ..engine.envelope import Envelope
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -280,7 +281,6 @@ def plan_partition(
     sample_pairs: int = 0,
     screen_method: str = "ap-minmax",
     seed: int = 7,
-    candidate_pairs: Sequence[tuple[str, str]] | None = None,
     metrics: "MetricsRegistry | None" = None,
 ) -> PartitionPlan:
     """Plan a skew-aware ``n_shards``-way split of ``catalog``.
@@ -293,14 +293,14 @@ def plan_partition(
     back to pure LPT, which a skewed catalog will serialise — the
     benchmark measures exactly that contrast.  ``sample_pairs > 0``
     joins a seeded sample with ``screen_method`` to calibrate cost
-    units into seconds (recorded in ``stats``).  ``candidate_pairs``
-    short-circuits the catalog's candidate scan when the caller already
-    computed it (the scan is the expensive step on large catalogs).
+    units into seconds (recorded in ``stats``).
     """
     if n_shards < 1:
         raise ConfigurationError(f"n_shards must be >= 1, got {n_shards}")
-    if epsilon < 0:
-        raise ConfigurationError(f"epsilon must be >= 0, got {epsilon}")
+    try:
+        epsilon = validate_epsilon(epsilon)
+    except ValidationError as error:
+        raise ConfigurationError(str(error)) from None
     if not 0.0 < hot_fraction:
         raise ConfigurationError(
             f"hot_fraction must be > 0, got {hot_fraction}"
@@ -309,17 +309,14 @@ def plan_partition(
     if not keys:
         raise ConfigurationError("cannot partition an empty catalog")
     metadata: dict[str, tuple[int, int]] = {}
-    envelopes: dict[str, tuple[tuple[int, ...], tuple[int, ...]]] = {}
     for key in keys:
         record = catalog.metadata(key)
         metadata[key] = (record.n_users, record.n_dims)
-        envelope = catalog.envelope(key)
-        envelopes[key] = (
-            tuple(int(v) for v in envelope.mins),
-            tuple(int(v) for v in envelope.maxs),
-        )
-    if candidate_pairs is None:
-        candidate_pairs = catalog.candidate_pairs(epsilon)
+    envelopes = {
+        key: (tuple(envelope.mins.tolist()), tuple(envelope.maxs.tolist()))
+        for key, envelope in catalog.envelopes().items()
+    }
+    candidate_pairs = catalog.candidate_pairs(epsilon)
     calibration = _calibrate(
         catalog,
         candidate_pairs,
@@ -436,7 +433,7 @@ def plan_partition(
         "calibration": calibration,
     }
     return PartitionPlan(
-        epsilon=int(epsilon),
+        epsilon=epsilon,
         n_shards=n_shards,
         shards=shards,
         metadata=metadata,
@@ -458,7 +455,6 @@ def partition_catalog(
     sample_pairs: int = 0,
     screen_method: str = "ap-minmax",
     seed: int = 7,
-    candidate_pairs: Sequence[tuple[str, str]] | None = None,
     metrics: "MetricsRegistry | None" = None,
 ) -> PartitionPlan:
     """Plan and materialise: per-shard SQLite catalogs plus ``plan.json``.
@@ -476,7 +472,6 @@ def partition_catalog(
         sample_pairs=sample_pairs,
         screen_method=screen_method,
         seed=seed,
-        candidate_pairs=candidate_pairs,
         metrics=metrics,
     )
     out = Path(out_dir)

@@ -34,7 +34,7 @@ from repro.engine import (
     join_key,
     matrix_fingerprint,
 )
-from repro.engine.envelope import separation_matrix, stack_envelopes
+from repro.engine.envelope import stack_envelopes, surviving_pairs
 from repro.engine.shared import AttachedVectorStore, SharedVectorStore
 from repro.obs import MetricsRegistry, summarize_records
 from repro.testing import banded_community_fleet as banded_fleet
@@ -155,19 +155,18 @@ class TestEnvelopeScreen:
 
 
 class TestVectorisedScreen:
-    def test_separation_matrix_matches_scalar(self):
+    def test_surviving_pairs_matches_scalar(self):
         fleet = banded_fleet(3, 2, band_gap=30, high=25)
         envelopes = [community_envelope(c) for c in fleet]
         mins, maxs = stack_envelopes(envelopes)
         for epsilon in (0, 1, 5, 40):
-            matrix = separation_matrix(mins, maxs, epsilon)
-            for i in range(len(fleet)):
-                for j in range(len(fleet)):
-                    if i == j:
-                        continue
-                    assert bool(matrix[i, j]) == envelopes_separated(
-                        envelopes[i], envelopes[j], epsilon
-                    )
+            first, second = surviving_pairs(mins, maxs, epsilon)
+            assert list(zip(first.tolist(), second.tolist())) == [
+                (i, j)
+                for i in range(len(fleet))
+                for j in range(i + 1, len(fleet))
+                if not envelopes_separated(envelopes[i], envelopes[j], epsilon)
+            ]
 
     def test_long_job_lists_screen_identically(self):
         """A long job list screens every pair; counters match the verdicts."""
