@@ -9,16 +9,20 @@ arbitrary community collection.
 
 Filtering and verification are separate steps.  The per-dimension
 envelope screen (one sort-and-sweep for every source) first proves
-most pairs' similarity 0 without a join; only the pairs it cannot rule
-out become
-:class:`~repro.engine.PairJob` entries on the
+most pairs' similarity 0 without a join, and the proven-zero pairs are
+ranked from a lazy similarity-0 tail.  One routine, ``_rank_pairs``,
+ranks every source: it hands the pairs the screen cannot rule out to a
+``screen`` and a ``refine`` executor.  For a list or a
+:class:`~repro.catalog.PersistentCatalog` those run
+:class:`~repro.engine.PairJob` entries on a
 :class:`~repro.engine.BatchEngine` (which brings the join-result cache
-and multi-process execution, ``n_jobs``), and the proven-zero pairs
-are ranked from a lazy similarity-0 tail.  ``top_k_pairs_reference``
-preserves the pre-engine serial loop as a differential-testing oracle
-and as the baseline the engine benchmarks measure against.  Every
-source, the oracle included, enumerates a pair as (lower name, higher
-name), so a ranking does not depend on the order of its input.
+and multi-process execution, ``n_jobs``); the shard coordinator passes
+executors that run ``join_batch`` requests on the pairs' owner shards.
+``top_k_pairs_reference`` preserves the pre-engine serial loop as a
+differential-testing oracle and as the baseline the engine benchmarks
+measure against.  Every source, the oracle included, enumerates a pair
+as (lower name, higher name), so a ranking does not depend on the
+order of its input.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -82,6 +86,8 @@ def _joinable_mask(sizes: Sequence[int]) -> np.ndarray:
 
 
 def _validate(communities: list[Community], k: int, screen_margin: float) -> None:
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise ConfigurationError(f"k must be an integer, got {k!r}")
     if k < 1:
         raise ConfigurationError(f"k must be >= 1, got {k}")
     if not 0.0 < screen_margin <= 1.0:
@@ -183,7 +189,7 @@ def top_k_pairs(
             if community.name != names[index]:
                 community = dataclasses.replace(community, name=names[index])
             roster.append(community)
-        slots: Mapping[int, int] | Sequence[int] = {
+        slots: dict[int, int] | range = {
             index: slot for slot, index in enumerate(needed)
         }
     else:
@@ -223,19 +229,26 @@ def top_k_pairs(
         fault_policy=fault_policy,
         checkpoint=checkpoint,
     ) as engine:
-        scores = _rank_pairs(
+        job_options = canonical_options(options)
+
+        def run(pairs: list[tuple[int, int]], method: str) -> list[CSJResult]:
+            jobs = [
+                PairJob(slots[first], slots[second], method, epsilon, job_options)
+                for first, second in pairs
+            ]
+            return [outcome.result for outcome in engine.run(jobs)] if jobs else []
+
+        scores, _ = _rank_pairs(
             names,
             sizes,
             joinable,
             live,
-            engine,
-            slots,
+            lambda pairs: [result.similarity for result in run(pairs, screen_method)],
+            lambda pairs: run(pairs, refine_method),
             epsilon=epsilon,
             k=k,
-            screen_method=screen_method,
             refine_method=refine_method,
             screen_margin=screen_margin,
-            job_options=canonical_options(options),
         )
         if telemetry is not None:
             telemetry.extend(engine.telemetry)
@@ -247,57 +260,51 @@ def _rank_pairs(
     sizes: Sequence[int],
     joinable: np.ndarray,
     live: np.ndarray,
-    engine: BatchEngine,
-    slots: Mapping[int, int] | Sequence[int],
+    screen: Callable[[list[tuple[int, int]]], Sequence[float | None]],
+    refine: Callable[[list[tuple[int, int]]], Sequence[CSJResult | None]],
     *,
     epsilon: int,
     k: int,
-    screen_method: str,
     refine_method: str,
     screen_margin: float,
-    job_options: tuple,
-) -> list[PairScore]:
+) -> tuple[list[PairScore], int]:
     """Screen, merge and refine one source's pairs.
 
     Pair ``(i, j)`` with ``i < j`` indexes ``names``/``sizes``, which
-    are in name order; ``joinable`` and ``live`` are upper-triangular masks over
-    those indices, and job index ``slots[i]`` names community ``i`` in
-    the engine (needed only when it belongs to a live pair).  Live
-    pairs alone become engine jobs.  Their screened ranking merges with
-    a lazy similarity-0 tail of the other joinable pairs, the
-    refinement pool's live pairs are joined exactly, and its tail pairs
-    become :func:`_zero_score` results.
+    are in name order; ``joinable`` and ``live`` (a subset of it) are
+    upper-triangular masks over those indices.  Live pairs alone reach
+    the executors: ``screen(pairs)`` returns each pair's screened
+    similarity and ``refine(pairs)`` its exact result, or ``None`` for
+    a pair no executor could evaluate.  The screened ranking merges
+    with a lazy similarity-0 tail of the other joinable pairs, the
+    refinement pool's live pairs are refined, and its tail pairs become
+    :func:`_zero_score` results.  A pair screened ``None`` leaves the
+    ranking and the pool count; a pair refined ``None`` leaves the
+    pool.  Neither is ever scored.  Returns the top ``k`` scores and
+    the size of the refinement pool.
     """
-
-    def run(pairs: list[tuple[int, int]], method: str) -> list[CSJResult]:
-        jobs = [
-            PairJob(slots[first], slots[second], method, epsilon, job_options)
-            for first, second in pairs
-        ]
-        return [outcome.result for outcome in engine.run(jobs)] if jobs else []
 
     def rank(entry: tuple[float, int, int]) -> tuple[float, str, str]:
         return (-entry[0], names[entry[1]], names[entry[2]])
 
     firsts, seconds = np.nonzero(live)
     live_pairs = list(zip(firsts.tolist(), seconds.tolist()))
-    screen_results = run(live_pairs, screen_method)
     screened = sorted(
         (
-            (result.similarity, first, second)
-            for (first, second), result in zip(live_pairs, screen_results)
+            (similarity, first, second)
+            for (first, second), similarity in zip(live_pairs, screen(live_pairs))
+            if similarity is not None
         ),
         key=rank,
     )
     merged = heapq.merge(screened, _zero_tail(joinable & ~live), key=rank)
-    pool_size = _pool_size(int(joinable.sum()), k, screen_margin)
-    pool = list(itertools.islice(merged, pool_size))
+    n_ranked = int(joinable.sum()) - len(live_pairs) + len(screened)
+    pool = list(itertools.islice(merged, _pool_size(n_ranked, k, screen_margin)))
     refine_pairs = [(first, second) for _, first, second in pool if live[first, second]]
-    refined = dict(zip(refine_pairs, run(refine_pairs, refine_method)))
+    refined = dict(zip(refine_pairs, refine(refine_pairs)))
     scores: list[PairScore] = []
     for _, first, second in pool:
-        result = refined.get((first, second))
-        if result is None:
+        if not live[first, second]:
             scores.append(
                 _zero_score(
                     (names[first], names[second]),
@@ -306,11 +313,11 @@ def _rank_pairs(
                     epsilon=epsilon,
                 )
             )
-        else:
+        elif (result := refined[(first, second)]) is not None:
             b, a = (second, first) if result.swapped else (first, second)
             scores.append(PairScore(names[b], names[a], result.similarity, result))
     scores.sort(key=lambda score: (-score.similarity, score.name_b, score.name_a))
-    return scores[:k]
+    return scores[:k], len(pool)
 
 
 def _zero_tail(tail: np.ndarray) -> Iterator[tuple[float, int, int]]:

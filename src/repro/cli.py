@@ -590,6 +590,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
     if command == "shard":
+        import contextlib
         from pathlib import Path
 
         from .shard import (
@@ -606,20 +607,6 @@ def main(argv: list[str] | None = None) -> int:
                 host, _, port = item.rpartition(":")
                 addresses.append((host or "127.0.0.1", int(port)))
             return addresses
-
-        def _render_topk(result) -> None:
-            for rank, score in enumerate(result.scores, start=1):
-                print(
-                    f"{rank:3d}. {score.label}  "
-                    f"similarity={score.similarity:.6f} "
-                    f"matched={score.result.n_matched}"
-                )
-            if result.degraded:
-                print(
-                    f"DEGRADED: missing shards {list(result.missing)}, "
-                    f"{len(result.dropped_keys)} dropped communities, "
-                    f"{len(result.lost_pairs)} lost pairs"
-                )
 
         if args.shard_command == "partition":
             from .catalog import PersistentCatalog
@@ -671,60 +658,44 @@ def main(argv: list[str] | None = None) -> int:
                     print("shutting down fleet")
             return 0
 
-        if args.shard_command == "topk":
+        with contextlib.ExitStack() as stack:
             if args.addresses:
-                plan = PartitionPlan.load(
-                    Path(args.plan_dir) / PLAN_FILENAME
+                plan = PartitionPlan.load(Path(args.plan_dir) / PLAN_FILENAME)
+                coordinator = stack.enter_context(
+                    ShardCoordinator(plan, _parse_addresses(args.addresses))
                 )
-                with ShardCoordinator(
-                    plan, _parse_addresses(args.addresses)
-                ) as coordinator:
-                    result = coordinator.top_k(
-                        epsilon=args.epsilon,
-                        k=args.k,
-                        screen_method=args.screen_method,
-                        refine_method=args.refine_method,
-                        screen_margin=args.screen_margin,
-                        allow_partial=args.allow_partial,
-                    )
             else:
-                with ShardFleet(args.plan_dir) as fleet:
-                    with fleet.coordinator() as coordinator:
-                        result = coordinator.top_k(
-                            epsilon=args.epsilon,
-                            k=args.k,
-                            screen_method=args.screen_method,
-                            refine_method=args.refine_method,
-                            screen_margin=args.screen_margin,
-                            allow_partial=args.allow_partial,
-                        )
-            _render_topk(result)
-            return 0
-
-        # sweep
-        pairs = [tuple(pair) for pair in args.pairs]
-        if args.addresses:
-            plan = PartitionPlan.load(Path(args.plan_dir) / PLAN_FILENAME)
-            with ShardCoordinator(
-                plan, _parse_addresses(args.addresses)
-            ) as coordinator:
-                sweep_result = coordinator.sweep(
-                    pairs,
-                    args.epsilons,
-                    method=args.method,
-                    checkpoint=args.checkpoint,
+                fleet = stack.enter_context(ShardFleet(args.plan_dir))
+                coordinator = stack.enter_context(fleet.coordinator())
+            if args.shard_command == "topk":
+                result = coordinator.top_k(
+                    epsilon=args.epsilon,
+                    k=args.k,
+                    screen_method=args.screen_method,
+                    refine_method=args.refine_method,
+                    screen_margin=args.screen_margin,
                     allow_partial=args.allow_partial,
                 )
-        else:
-            with ShardFleet(args.plan_dir) as fleet:
-                with fleet.coordinator() as coordinator:
-                    sweep_result = coordinator.sweep(
-                        pairs,
-                        args.epsilons,
-                        method=args.method,
-                        checkpoint=args.checkpoint,
-                        allow_partial=args.allow_partial,
+                for rank, score in enumerate(result.scores, start=1):
+                    print(
+                        f"{rank:3d}. {score.label}  "
+                        f"similarity={score.similarity:.6f} "
+                        f"matched={score.result.n_matched}"
                     )
+                if result.degraded:
+                    print(
+                        f"DEGRADED: missing shards {list(result.missing)}, "
+                        f"{len(result.dropped_keys)} dropped communities, "
+                        f"{len(result.lost_pairs)} lost pairs"
+                    )
+                return 0
+            sweep_result = coordinator.sweep(
+                [tuple(pair) for pair in args.pairs],
+                args.epsilons,
+                method=args.method,
+                checkpoint=args.checkpoint,
+                allow_partial=args.allow_partial,
+            )
         for (first, second), points in sweep_result.curves.items():
             print(f"{first} | {second}")
             for point in points:

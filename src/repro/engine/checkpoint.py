@@ -17,6 +17,7 @@ its datasets from scratch and still hit.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import IO
 
@@ -67,6 +68,25 @@ def decode_join_key(encoded: list) -> JoinKey:
     )
 
 
+def open_for_append(path: Path) -> IO[str]:
+    """Open a JSON-lines log for appending, starting on a fresh line.
+
+    A writer killed mid-line leaves a torn last line with no newline;
+    a line appended straight after it would be glued onto the fragment
+    and lost with it when the log is read back.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    torn = False
+    if path.exists() and path.stat().st_size:
+        with path.open("rb") as tail:
+            tail.seek(-1, os.SEEK_END)
+            torn = tail.read(1) != b"\n"
+    handle = path.open("a", encoding="utf-8")
+    if torn:
+        handle.write("\n")
+    return handle
+
+
 class CheckpointLog:
     """Append-only JSON-lines log of completed ``(JoinKey, result)``.
 
@@ -106,8 +126,7 @@ class CheckpointLog:
     def append(self, key: JoinKey, result: CSJResult) -> None:
         """Durably record one completed join (one flushed JSON line)."""
         if self._file is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._file = self.path.open("a", encoding="utf-8")
+            self._file = open_for_append(self.path)
         self._file.write(
             json.dumps(
                 {

@@ -445,7 +445,7 @@ def execute_join_batch_work(work: JoinBatchWork) -> tuple[dict, dict | None]:
     similarity computed here is bit-for-bit the one
     :func:`~repro.apps.top_k_pairs` computes for the same couple.
     Entries come back ranked by ``(-similarity, first, second)`` in
-    request orientation, ready for the coordinator's k-way merge.
+    request orientation.
     """
     scratch = MetricsRegistry() if work.collect_metrics else None
     roster_names = sorted(work.snapshots)

@@ -9,8 +9,8 @@ catalogs with skew-aware placement, then coordinates ``topk`` /
   bin-packed by estimated join cost (greedy LPT), and hot components
   that would serialise a sweep are split pair-wise across shards with
   replicated endpoints and explicit pair ownership;
-* :mod:`~repro.shard.coordinator` — fan-out coordinator whose merged
-  ranking is byte-identical to the single-host
+* :mod:`~repro.shard.coordinator` — fan-out coordinator that ranks
+  through the single-host routine, so its ranking is byte-identical to
   :func:`~repro.apps.top_k_pairs` on the union catalog, with honest
   degraded responses (named missing shards, dropped keys, lost pairs)
   when shards stay down, and JSONL-checkpointed resumable sweeps;

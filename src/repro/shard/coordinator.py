@@ -1,56 +1,54 @@
 """Distributed all-pairs top-k over a fleet of CSJ shard servers.
 
-The coordinator re-drives the single-host catalog ranking of
-:func:`repro.apps.top_k_pairs` with the expensive stages pushed onto
-shards:
+The coordinator ranks through the single-host routine behind
+:func:`repro.apps.top_k_pairs` (``_rank_pairs``), with the expensive
+stages pushed onto shards:
 
 1. **Candidate scan** — every shard answers ``candidates`` from its
    local envelope screen; the union (deduplicated across
    replicated components) equals the union catalog's surviving set,
    because the partitioner co-locates every candidate pair at plan
    epsilon.
-2. **Screen** — each live pair has exactly one *owner* shard (the
-   plan's pair→owner map for split hot components, the lowest common
-   holder otherwise); owners evaluate their pairs in ranked
-   ``join_batch`` responses.
-3. **Merge** — the per-shard ranked streams plus a lazy zero-similarity
-   tail (ratio-eligible pairs the envelopes killed, enumerated in key
-   order, never materialised in full) meet in a bounded
-   :func:`heapq.merge` that stops at the refinement-pool size.
-4. **Refine** — pool survivors go back to their owners with the exact
-   method; full :class:`~repro.core.types.CSJResult` payloads come
-   back over the wire (JSON floats round-trip exactly), so the final
-   ranking — pairs, similarities, orientation, tie-breaks — is
-   byte-identical to the single-host ranking on the union catalog.
+2. **Screen and refine** — ``_rank_pairs`` merges the screened pairs
+   with a lazy similarity-0 tail, cuts the refinement pool and
+   synthesises the tail's zero scores exactly as it does in memory.
+   Its two executors send each pair to its *owner* shard (the plan's
+   pair→owner map for split hot components, the lowest common holder
+   otherwise) in ``join_batch`` requests: the screen method returns
+   similarities, the exact method full
+   :class:`~repro.core.types.CSJResult` payloads (JSON floats
+   round-trip exactly), so the final ranking — pairs, similarities,
+   orientation, tie-breaks — is byte-identical to the single-host
+   ranking on the union catalog.
 
 Failure handling is honest rather than heroic: per-shard deadlines and
 bounded reconnect-retries ride on the serve layer's admission and
 :class:`~repro.serve.ReconnectingClient`; when a shard stays down, its
 exclusively-held communities drop out of the ranking universe, pairs
-no surviving shard can evaluate are reported as *lost* (never silently
-zero-scored), and the response names the missing shards.  A killed
-distributed sweep resumes from a JSON-lines checkpoint the coordinator
-writes as cells complete.
+it owned are re-routed to a live replica, pairs no surviving shard can
+evaluate are reported as *lost* (never silently zero-scored), and the
+response names the missing shards.  A killed distributed sweep resumes
+from a JSON-lines checkpoint the coordinator writes as cells complete.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import json
-from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
+import numpy as np
+
 from ..algorithms import get_algorithm
 from ..analysis.sweeps import SweepPoint
-from ..apps.topk import PairScore, _pool_size, _ratio_ok, _validate, _zero_score
-from ..catalog import CatalogRecord, PersistentCatalog
+from ..apps.topk import PairScore, _joinable_mask, _rank_pairs, _validate, _zero_score
+from ..catalog import PersistentCatalog
 from ..core.errors import ConfigurationError, ReproError
 from ..core.types import CSJResult
 from ..core.validation import validate_epsilon
+from ..engine.checkpoint import open_for_append
 from ..engine.envelope import candidate_pairs as envelope_candidates
 from ..engine.envelope import envelopes_separated
 from ..obs import MetricsRegistry
@@ -75,6 +73,9 @@ __all__ = [
     "ShardCoordinator",
     "ShardFleet",
 ]
+
+#: Pairs per ``join_batch`` request; a shard's larger share is chunked.
+_JOIN_BATCH_PAIRS = 4096
 
 
 class ShardError(ReproError):
@@ -151,23 +152,17 @@ class ShardCoordinator:
         deadline_ms: float | None = None,
         retries: int = 1,
         timeout: float | None = 30.0,
-        batch_size: int = 4096,
     ) -> None:
         if len(addresses) != plan.n_shards:
             raise ConfigurationError(
                 f"plan has {plan.n_shards} shards but {len(addresses)} "
                 "addresses were given"
             )
-        if batch_size < 1:
-            raise ConfigurationError(
-                f"batch_size must be >= 1, got {batch_size}"
-            )
         self.plan = plan
         # A private registry when none is shared: .inc is then a no-op
         # nobody reads, and every call site stays unconditional.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.deadline_ms = deadline_ms
-        self.batch_size = int(batch_size)
         self._clients = [
             ReconnectingClient(host, port, timeout=timeout, retries=retries)
             for host, port in addresses
@@ -209,33 +204,6 @@ class ShardCoordinator:
                 failed.add(shard)
         return responses, failed
 
-    # -- routing -------------------------------------------------------
-    def _live_owner(
-        self, first: str, second: str, missing: set[int]
-    ) -> int | None:
-        """The live shard that should evaluate a pair, if any."""
-        pair = (first, second) if first <= second else (second, first)
-        explicit = self.plan.pair_owners.get(pair)
-        if explicit is not None and explicit not in missing:
-            return explicit
-        common = set(self.plan.shards_of(pair[0])) & set(
-            self.plan.shards_of(pair[1])
-        )
-        live = common - missing
-        return min(live) if live else None
-
-    def _record(self, key: str) -> CatalogRecord:
-        n_users, n_dims = self.plan.metadata[key]
-        return CatalogRecord(
-            key=key,
-            name=key,
-            category="",
-            page_id=0,
-            n_users=n_users,
-            n_dims=n_dims,
-            fingerprint="",
-        )
-
     def _env_candidates(
         self, keys: Sequence[str], epsilon: int
     ) -> set[tuple[str, str]]:
@@ -252,67 +220,60 @@ class ShardCoordinator:
             )
         )
 
-    @staticmethod
-    def _joinable_count(sizes: Sequence[int]) -> int:
-        """Ratio-eligible pair count in O(C log C) — never O(C^2) space."""
-        ordered = sorted(sizes)
-        return sum(
-            bisect_right(ordered, 2 * size) - index - 1
-            for index, size in enumerate(ordered)
-        )
+    def _check_keys(self, keys: Iterable[str]) -> None:
+        for key in keys:
+            if key not in self.plan.metadata:
+                raise ShardError(f"community {key!r} is not in the plan")
 
     # -- join batches with re-routing ----------------------------------
     def _run_join_batches(
         self,
-        assignments: dict[int, list[tuple[str, str]]],
+        pairs: list[tuple[str, str]],
         *,
         epsilon: int,
         method: str,
         options: Mapping[str, object],
         include_results: bool,
         missing: set[int],
-    ) -> tuple[list[list[dict]], list[tuple[str, str]]]:
-        """Run owner-grouped batches, re-routing around shard deaths.
+    ) -> tuple[dict[tuple[str, str], dict], list[tuple[str, str]]]:
+        """Run pairs on their live owners, re-routing around shard deaths.
 
-        Returns the ranked response streams (one per request chunk)
-        plus the pairs that became unroutable.  ``missing`` is updated
-        in place with shards that died mid-phase.
+        Returns every evaluated pair's ``join_batch`` entry, plus the
+        pairs no live shard holds.  A shard that fails mid-phase joins
+        ``missing`` (in place) and its unfinished pairs go round again.
         """
-        streams: list[list[dict]] = []
+        entries: dict[tuple[str, str], dict] = {}
         lost: list[tuple[str, str]] = []
-        pending = {
-            shard: list(pairs) for shard, pairs in assignments.items() if pairs
-        }
-        while pending:
+        while pairs:
+            assignments: dict[int, list[tuple[str, str]]] = {}
+            for pair in pairs:
+                owner = self.plan.owner_of(*pair, missing=missing)
+                if owner is None:
+                    lost.append(pair)
+                else:
+                    assignments.setdefault(owner, []).append(pair)
             futures = {
                 shard: self._executor.submit(
                     self._shard_batches,
                     shard,
-                    pairs,
+                    owned,
                     epsilon=epsilon,
                     method=method,
                     options=options,
                     include_results=include_results,
                 )
-                for shard, pairs in pending.items()
+                for shard, owned in assignments.items()
             }
-            failed_pairs: list[tuple[str, str]] = []
-            newly_failed: set[int] = set()
+            pairs = []
             for shard, future in futures.items():
-                shard_streams, unprocessed = future.result()
-                streams.extend(shard_streams)
+                answered, unprocessed = future.result()
+                entries.update(
+                    ((entry["first"], entry["second"]), entry) for entry in answered
+                )
                 if unprocessed:
-                    newly_failed.add(shard)
-                    failed_pairs.extend(unprocessed)
-            missing.update(newly_failed)
-            pending = {}
-            for pair in failed_pairs:
-                owner = self._live_owner(pair[0], pair[1], missing)
-                if owner is None:
-                    lost.append(pair)
-                else:
-                    pending.setdefault(owner, []).append(pair)
-        return streams, lost
+                    missing.add(shard)
+                    pairs.extend(unprocessed)
+        return entries, lost
 
     def _shard_batches(
         self,
@@ -323,11 +284,11 @@ class ShardCoordinator:
         method: str,
         options: Mapping[str, object],
         include_results: bool,
-    ) -> tuple[list[list[dict]], list[tuple[str, str]]]:
+    ) -> tuple[list[dict], list[tuple[str, str]]]:
         """All of one shard's chunks, stopping at the first failure."""
-        streams: list[list[dict]] = []
-        for start in range(0, len(pairs), self.batch_size):
-            chunk = pairs[start : start + self.batch_size]
+        entries: list[dict] = []
+        for start in range(0, len(pairs), _JOIN_BATCH_PAIRS):
+            chunk = pairs[start : start + _JOIN_BATCH_PAIRS]
             args: dict[str, object] = {
                 "pairs": [[first, second] for first, second in chunk],
                 "epsilon": epsilon,
@@ -340,9 +301,9 @@ class ShardCoordinator:
             try:
                 response = self._request(shard, "join_batch", args)
             except (ServeError, OSError):
-                return streams, pairs[start:]
-            streams.append(response["pairs"])
-        return streams, []
+                return entries, pairs[start:]
+            entries.extend(response["pairs"])
+        return entries, []
 
     # -- the distributed ranking ---------------------------------------
     def top_k(
@@ -372,33 +333,29 @@ class ShardCoordinator:
             get_algorithm(method, epsilon, **options)
         _validate([], k, screen_margin)
 
-        # Phase 1: every shard's local candidate pairs.
         responses, missing = self._fanout(
             "candidates", {"epsilon": epsilon}, range(self.plan.n_shards)
         )
-        if missing:
-            if not allow_partial or not responses:
-                raise ShardUnavailableError(missing)
+        if missing and (not allow_partial or not responses):
+            raise ShardUnavailableError(missing)
         dropped = tuple(
             sorted(
                 key
                 for key in self.plan.metadata
-                if all(shard in missing for shard in self.plan.shards_of(key))
+                if missing.issuperset(self.plan.shards_of(key))
             )
         )
-        selected = sorted(set(self.plan.metadata) - set(dropped))
-        universe = set(selected)
-        records = {key: self._record(key) for key in selected}
-
-        live: set[tuple[str, str]] = set()
+        names = sorted(set(self.plan.metadata) - set(dropped))
+        row = {key: index for index, key in enumerate(names)}
+        sizes = [self.plan.size_of(key) for key in names]
+        joinable = _joinable_mask(sizes)
+        candidates = np.zeros_like(joinable)
         duplicates = 0
         for response in responses.values():
             for first, second in response["pairs"]:
-                pair = (first, second)
-                if pair in live:
-                    duplicates += 1
-                elif first in universe and second in universe:
-                    live.add(pair)
+                if first in row and second in row:
+                    duplicates += int(candidates[row[first], row[second]])
+                    candidates[row[first], row[second]] = True
         self.metrics.inc("repro_shard_pairs_deduped_total", duplicates)
 
         # Pairs shard-local scans cannot vouch for: identify losses
@@ -406,141 +363,66 @@ class ShardCoordinator:
         # epsilons above the plan epsilon.
         lost: set[tuple[str, str]] = set()
         if missing or epsilon > self.plan.epsilon:
-            env_candidates = self._env_candidates(selected, epsilon)
-            for pair in env_candidates - live:
-                if not _ratio_ok(
-                    records[pair[0]].n_users, records[pair[1]].n_users
-                ):
+            for first, second in self._env_candidates(names, epsilon):
+                index = (row[first], row[second])
+                if candidates[index] or not joinable[index]:
                     continue
-                if self._live_owner(pair[0], pair[1], missing) is None:
+                if self.plan.owner_of(first, second, missing=missing) is None:
                     if not missing:
                         raise ShardError(
-                            f"candidate pair {pair!r} at epsilon {epsilon} "
-                            "is not co-located on any shard: the plan was "
-                            f"built for epsilon <= {self.plan.epsilon}; "
+                            f"candidate pair {(first, second)!r} at epsilon "
+                            f"{epsilon} is not co-located on any shard: the "
+                            f"plan was built for epsilon <= {self.plan.epsilon}; "
                             "repartition with a larger plan epsilon"
                         )
-                    lost.add(pair)
+                    lost.add((first, second))
+                    joinable[index] = False
 
-        live_pairs = sorted(
-            pair
-            for pair in live
-            if _ratio_ok(records[pair[0]].n_users, records[pair[1]].n_users)
-        )
-        assignments: dict[int, list[tuple[str, str]]] = {}
-        for pair in live_pairs:
-            owner = self._live_owner(pair[0], pair[1], missing)
-            if owner is None:
-                lost.add(pair)
-            else:
-                assignments.setdefault(owner, []).append(pair)
-        executable = [
-            pair for pairs in assignments.values() for pair in pairs
-        ]
+        def run(
+            pairs: list[tuple[int, int]], method: str, include_results: bool
+        ) -> list[dict | None]:
+            named = [(names[first], names[second]) for first, second in pairs]
+            entries, unroutable = self._run_join_batches(
+                named,
+                epsilon=epsilon,
+                method=method,
+                options=options,
+                include_results=include_results,
+                missing=missing,
+            )
+            lost.update(unroutable)
+            return [entries.get(pair) for pair in named]
 
-        # Phase 2: the approximate screen, ranked shard-side.
-        screen_streams, screen_lost = self._run_join_batches(
-            assignments,
-            epsilon=epsilon,
-            method=screen_method,
-            options=options,
-            include_results=False,
-            missing=missing,
-        )
-        lost.update(screen_lost)
-        live_exec = set(executable) - lost
+        screened: list[float | None] = []
 
-        # Phase 3: bounded k-way merge against the lazy zero tail.
-        n_screened = self._joinable_count(
-            [records[key].n_users for key in selected]
-        ) - len(lost)
-
-        def zero_tail() -> Iterable[tuple[float, str, str]]:
-            for first, second in itertools.combinations(selected, 2):
-                pair = (first, second)
-                if pair in live_exec or pair in lost:
-                    continue
-                if not _ratio_ok(
-                    records[first].n_users, records[second].n_users
-                ):
-                    continue
-                yield (0.0, first, second)
-
-        ranked_streams: list[Iterable[tuple[float, str, str]]] = [
-            [
-                (entry["similarity"], entry["first"], entry["second"])
-                for entry in stream
-                if (entry["first"], entry["second"]) not in lost
+        def screen(pairs: list[tuple[int, int]]) -> list[float | None]:
+            similarities = [
+                None if entry is None else entry["similarity"]
+                for entry in run(pairs, screen_method, False)
             ]
-            for stream in screen_streams
-        ]
-        merged = heapq.merge(
-            *ranked_streams,
-            zero_tail(),
-            key=lambda entry: (-entry[0], entry[1], entry[2]),
-        )
-        pool = list(itertools.islice(merged, _pool_size(n_screened, k, screen_margin)))
-        self.metrics.inc("repro_shard_pairs_merged_total", len(pool))
+            screened.extend(similarities)
+            return similarities
 
-        # Phase 4: exact refinement of the pool's live entries.
-        refine_pairs = [
-            (first, second)
-            for _, first, second in pool
-            if (first, second) in live_exec
-        ]
-        refine_assignments: dict[int, list[tuple[str, str]]] = {}
-        for pair in refine_pairs:
-            owner = self._live_owner(pair[0], pair[1], missing)
-            if owner is None:
-                lost.add(pair)
-            else:
-                refine_assignments.setdefault(owner, []).append(pair)
-        refine_streams, refine_lost = self._run_join_batches(
-            refine_assignments,
+        def refine(pairs: list[tuple[int, int]]) -> list[CSJResult | None]:
+            return [
+                None if entry is None else CSJResult.from_dict(entry["result"])
+                for entry in run(pairs, refine_method, True)
+            ]
+
+        scores, pool = _rank_pairs(
+            names,
+            sizes,
+            joinable,
+            joinable & candidates,
+            screen,
+            refine,
             epsilon=epsilon,
-            method=refine_method,
-            options=options,
-            include_results=True,
-            missing=missing,
+            k=k,
+            refine_method=refine_method,
+            screen_margin=screen_margin,
         )
-        lost.update(refine_lost)
-        refined_by_pair = {
-            (entry["first"], entry["second"]): entry
-            for stream in refine_streams
-            for entry in stream
-        }
-
-        refined: list[PairScore] = []
-        for _, first, second in pool:
-            pair = (first, second)
-            entry = refined_by_pair.get(pair)
-            if entry is not None:
-                result = CSJResult.from_dict(entry["result"])
-                name_b, name_a = (
-                    (second, first) if result.swapped else (first, second)
-                )
-                refined.append(
-                    PairScore(
-                        name_b=name_b,
-                        name_a=name_a,
-                        similarity=result.similarity,
-                        result=result,
-                    )
-                )
-            elif pair in lost:
-                continue  # honestly absent, never fabricated
-            else:
-                refined.append(
-                    _zero_score(
-                        pair,
-                        (records[first].n_users, records[second].n_users),
-                        method=refine_method,
-                        epsilon=epsilon,
-                    )
-                )
-        refined.sort(
-            key=lambda score: (-score.similarity, score.name_b, score.name_a)
-        )
+        self.metrics.inc("repro_shard_pairs_merged_total", pool)
+        unscreened = screened.count(None)
 
         missing_tuple = tuple(sorted(missing))
         lost_tuple = tuple(sorted(lost))
@@ -549,19 +431,19 @@ class ShardCoordinator:
             if not allow_partial:
                 raise ShardUnavailableError(missing_tuple)
         return ShardTopK(
-            scores=tuple(refined[:k]),
+            scores=tuple(scores),
             k=k,
             epsilon=epsilon,
             missing=missing_tuple,
             dropped_keys=dropped,
             lost_pairs=lost_tuple,
             stats={
-                "communities": len(selected),
-                "candidate_pairs": len(live),
+                "communities": len(names),
+                "candidate_pairs": int(candidates.sum()),
                 "duplicates": duplicates,
-                "executed_pairs": len(live_exec),
-                "n_screened": n_screened,
-                "pool": len(pool),
+                "executed_pairs": len(screened) - unscreened,
+                "n_screened": int(joinable.sum()) - unscreened,
+                "pool": pool,
             },
         )
 
@@ -583,10 +465,8 @@ class ShardCoordinator:
         pairs.
         """
         epsilon = validate_epsilon(epsilon)
-        for key in (first, second):
-            if key not in self.plan.metadata:
-                raise ShardError(f"community {key!r} is not in the plan")
-        owner = self._live_owner(first, second, set())
+        self._check_keys((first, second))
+        owner = self.plan.owner_of(first, second)
         if owner is None:
             if envelopes_separated(
                 self.plan.envelope_of(first),
@@ -595,7 +475,7 @@ class ShardCoordinator:
             ):
                 score = _zero_score(
                     (first, second),
-                    (self._record(first).n_users, self._record(second).n_users),
+                    (self.plan.size_of(first), self.plan.size_of(second)),
                     method=method,
                     epsilon=epsilon,
                 )
@@ -644,24 +524,15 @@ class ShardCoordinator:
         epsilons = [validate_epsilon(epsilon) for epsilon in epsilons]
         if sorted(epsilons) != epsilons:
             raise ConfigurationError("epsilons must be given in ascending order")
+        self._check_keys(key for pair in pairs for key in pair)
         completed = self._load_checkpoint(checkpoint)
         resumed = 0
         missing: set[int] = set()
         lost_cells: list[tuple[str, str, int]] = []
         curves: dict[tuple[str, str], tuple[SweepPoint, ...]] = {}
-        checkpoint_file = None
-        if checkpoint is not None:
-            path = Path(checkpoint)
-            # A killed run can leave a torn final line with no newline;
-            # start a fresh line so the append never glues onto it.
-            torn_tail = (
-                path.exists()
-                and path.stat().st_size > 0
-                and not path.read_bytes().endswith(b"\n")
-            )
-            checkpoint_file = open(path, "a", encoding="utf-8")
-            if torn_tail:
-                checkpoint_file.write("\n")
+        checkpoint_file = (
+            open_for_append(Path(checkpoint)) if checkpoint is not None else None
+        )
         try:
             for first, second in pairs:
                 if envelopes_separated(
@@ -696,7 +567,7 @@ class ShardCoordinator:
                             options=options,
                         )
                     except (ServeError, OSError):
-                        owner = self._live_owner(first, second, missing)
+                        owner = self.plan.owner_of(first, second, missing=missing)
                         if owner is not None:
                             missing.add(owner)
                         if not allow_partial:

@@ -35,7 +35,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -109,20 +109,25 @@ class PartitionPlan:
             object.__setattr__(self, "_key_sets_cache", cached)
         return cached
 
-    def owner_of(self, first: str, second: str) -> int | None:
-        """The shard that should evaluate the pair, or ``None``.
+    def owner_of(
+        self, first: str, second: str, missing: Collection[int] = ()
+    ) -> int | None:
+        """The shard outside ``missing`` that should evaluate the pair.
 
-        Split-component pairs have an explicit owner; any other pair is
-        owned by the lowest shard holding both endpoints.  ``None``
-        means the plan never co-located the pair (possible only for
-        epsilons above the plan epsilon).
+        Split-component pairs have an explicit owner; any other pair,
+        or one whose explicit owner is missing, goes to the lowest live
+        shard holding both endpoints.  ``None`` means no live shard
+        holds both: their holders are all missing, or the plan never
+        co-located the pair (possible only for epsilons above the plan
+        epsilon).
         """
         pair = (first, second) if first <= second else (second, first)
         explicit = self.pair_owners.get(pair)
-        if explicit is not None:
+        if explicit is not None and explicit not in missing:
             return explicit
         common = set(self.shards_of(pair[0])) & set(self.shards_of(pair[1]))
-        return min(common) if common else None
+        live = common.difference(missing)
+        return min(live) if live else None
 
     def envelope_of(self, key: str) -> Envelope:
         mins, maxs = self.envelopes[key]

@@ -491,6 +491,24 @@ class TestCheckpointResume:
         with CheckpointLog(log_path) as log:
             assert len(log.load()) == len(jobs)
 
+    def test_resume_after_torn_line_logs_every_join(self, tmp_path):
+        # A run killed mid-write after two joins leaves its second line
+        # torn; the resumed run must not glue its first line onto it.
+        fleet, jobs = fleet_and_jobs()
+        log_path = tmp_path / "torn-resume.ckpt.jsonl"
+        with BatchEngine(fleet, screen=False, checkpoint=log_path) as engine:
+            engine.run(jobs[:2])
+        text = log_path.read_text()
+        log_path.write_text(text[: len(text.splitlines()[0]) + 1 + 40])
+        with BatchEngine(fleet, screen=False, checkpoint=log_path) as engine:
+            engine.run(jobs)
+            assert engine.computed_count == 2
+        with CheckpointLog(log_path) as log:
+            assert len(log.load()) == len(jobs)
+        with BatchEngine(fleet, screen=False, checkpoint=log_path) as engine:
+            engine.run(jobs)
+            assert engine.computed_count == 0
+
     def test_checkpoint_content_addressing_survives_regeneration(self, tmp_path):
         # A resumed sweep typically regenerates its datasets; identical
         # content must still hit the checkpoint.

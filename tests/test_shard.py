@@ -10,6 +10,7 @@ shards with replicated endpoints.
 
 from __future__ import annotations
 
+import itertools
 import json
 import socket
 
@@ -297,6 +298,74 @@ class TestShardLoss:
                     coord.top_k(epsilon=EPSILON, k=5, allow_partial=True)
 
 
+class TestMidPhaseShardDeath:
+    """One shard fails every request of one phase of a ranking.
+
+    The skewed fleet splits its hot component pair-wise over 4 shards,
+    so each shard owns some pairs that a live shard also holds (they
+    are re-routed and scored) and some that no live shard holds (they
+    are lost).  Whatever is scored must equal the single-host
+    similarity of its pair; a lost pair is never scored.
+    """
+
+    DEAD = 1
+    K = 200  # a pool of every candidate pair, so each phase sees them all
+
+    @pytest.fixture(scope="class")
+    def fleet_dir(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("mid-phase")
+        with make_catalog(root / "u.db", skewed_fleet()) as catalog:
+            partition_catalog(catalog, root / "p", 4, epsilon=EPSILON)
+            exact = {
+                (score.name_b, score.name_a): score.similarity
+                for score in top_k_pairs(catalog, epsilon=EPSILON, k=10_000)
+            }
+        return root, exact
+
+    @staticmethod
+    def phase_of(op: str, args: dict) -> str:
+        if op != "join_batch":
+            return op
+        return "refine" if args.get("include_results") else "screen"
+
+    @pytest.mark.parametrize("phase", ["candidates", "screen", "refine"])
+    def test_reroutes_and_reports_lost_pairs(self, fleet_dir, monkeypatch, phase):
+        root, exact = fleet_dir
+        request = ShardCoordinator._request
+        failed = []
+
+        def failing_request(coordinator, shard, op, args):
+            if shard == self.DEAD and self.phase_of(op, args) == phase:
+                failed.append(op)
+                raise ServeError("unavailable", "injected shard death")
+            return request(coordinator, shard, op, args)
+
+        monkeypatch.setattr(ShardCoordinator, "_request", failing_request)
+        with ShardFleet(root / "p") as fleet:
+            plan = fleet.plan
+            with fleet.coordinator() as coordinator:
+                result = coordinator.top_k(
+                    epsilon=EPSILON, k=self.K, allow_partial=True
+                )
+        assert failed
+        assert result.missing == (self.DEAD,)
+        exclusive = {key for key in plan.metadata if plan.shards_of(key) == (self.DEAD,)}
+        assert set(result.dropped_keys) == (exclusive if phase == "candidates" else set())
+        assert result.lost_pairs
+        scored = {tuple(sorted((s.name_b, s.name_a))) for s in result.scores}
+        assert not scored & set(result.lost_pairs)
+        rerouted = {
+            pair
+            for pair in itertools.combinations(sorted(plan.metadata), 2)
+            if plan.owner_of(*pair) == self.DEAD
+            and set(plan.shards_of(pair[0])) & set(plan.shards_of(pair[1])) - {self.DEAD}
+        }
+        assert rerouted & scored
+        assert not rerouted & set(result.lost_pairs)
+        for score in result.scores:
+            assert repr(score.similarity) == repr(exact[(score.name_b, score.name_a)])
+
+
 # ----------------------------------------------------------------------
 # caller mistakes are not outages
 # ----------------------------------------------------------------------
@@ -323,8 +392,18 @@ class TestCoordinatorInputErrors:
             {"n_parts": 0},
             {"epsilon": 1.7},
             {"epsilon": True},
+            {"k": 2.5},
+            {"k": True},
         ],
-        ids=["screen_method", "refine_method", "n_parts", "float_eps", "bool_eps"],
+        ids=[
+            "screen_method",
+            "refine_method",
+            "n_parts",
+            "float_eps",
+            "bool_eps",
+            "float_k",
+            "bool_k",
+        ],
     )
     def test_top_k_raises_like_single_host(self, fleet_dir, case):
         kwargs = {"epsilon": EPSILON, "k": 5, **case}
@@ -349,6 +428,20 @@ class TestCoordinatorInputErrors:
                     coordinator.join("band0-m0", "band0-m1", epsilon=epsilon)
                 with pytest.raises(ValidationError):
                     coordinator.sweep([("band0-m0", "band0-m1")], [epsilon])
+
+    def test_sweep_unknown_key_raises_before_any_request(self, fleet_dir, tmp_path):
+        checkpoint = tmp_path / "sweep.ckpt"
+        metrics = MetricsRegistry()
+        with ShardFleet(fleet_dir / "p") as fleet:
+            with fleet.coordinator(metrics=metrics) as coordinator:
+                with pytest.raises(ShardError, match="nope"):
+                    coordinator.sweep(
+                        [("band0-m0", "band0-m1"), ("band0-m0", "nope")],
+                        [5, 20],
+                        checkpoint=checkpoint,
+                    )
+        assert metrics.counter("repro_shard_requests_total") == 0
+        assert not checkpoint.exists()
 
 
 # ----------------------------------------------------------------------
@@ -463,7 +556,7 @@ class TestFleetEndpoints:
             served = entries[pair]
             assert repr(served.similarity) == repr(result.similarity)
             assert served.pairs == result.pairs
-        # The stream arrives ranked, ready for the k-way merge.
+        # The stream arrives ranked by (-similarity, first, second).
         sims = [
             (-e["similarity"], e["first"], e["second"])
             for e in response["pairs"]
@@ -680,3 +773,27 @@ class TestMetricsAndCli:
         )
         out = capsys.readouterr().out
         assert "resumed 2 checkpointed cells" in out
+
+    def test_cli_addresses_match_self_hosted(self, tmp_path, capsys):
+        from repro.cli import main
+
+        with make_catalog(tmp_path / "u.db", small_fleet()) as catalog:
+            partition_catalog(catalog, tmp_path / "p", 3, epsilon=EPSILON)
+        plan_dir = str(tmp_path / "p")
+        commands = [
+            ["shard", "topk", plan_dir, "--epsilon", str(EPSILON), "--k", "6"],
+            [
+                "shard", "sweep", plan_dir,
+                "--pair", "band0-m0", "band0-m1",
+                "--pair", "band0-m0", "band3-m2",
+                "--epsilons", "5", "20",
+            ],
+        ]
+        for command in commands:
+            assert main(command) == 0
+            self_hosted = capsys.readouterr().out
+            assert "similarity=" in self_hosted
+            with ShardFleet(plan_dir) as fleet:
+                addresses = [f"{host}:{port}" for host, port in fleet.addresses]
+                assert main([*command, "--addresses", *addresses]) == 0
+            assert capsys.readouterr().out == self_hosted
