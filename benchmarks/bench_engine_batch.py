@@ -1,26 +1,24 @@
-"""Batch engine benchmark: serial vs parallel vs cache-warm top-k.
+"""Batch engine benchmark: reference vs engine vs cache-warm top-k.
 
 The broadcast scenario (Section 1.2 ii.b) at platform scale: a fleet of
 communities spread over distinct activity bands (families perturbing
 shared archetypes, bands far apart in like-counts), ranked for the
-global top-k most similar pairs.  Four executions of the identical
+global top-k most similar pairs.  Three executions of the identical
 workload are timed:
 
 * ``reference`` — the pre-engine serial ``top_k_pairs`` loop (no
-  envelope screen, no cache, in-process);
-* ``engine_serial`` — the batch engine at ``n_jobs=1``;
-* ``engine_parallel`` — the batch engine at ``n_jobs=4`` over the
-  shared-memory vector store;
+  envelope screen, no cache);
+* ``engine_serial`` — the batch engine;
 * ``engine_cached`` — a second engine run against a warm join cache.
 
-All four must produce byte-identical pair rankings (asserted via a
-canonical JSON serialisation), and at full scale the parallel engine
-must beat the reference path.  Results are recorded in
-``BENCH_engine.json`` at the repository root.
+All three must produce byte-identical pair rankings (asserted via a
+canonical JSON serialisation), and at full scale the engine must beat
+the reference path.  Results are recorded in ``BENCH_engine.json`` at
+the repository root.
 
 Runs are marked with the ``bench`` marker and excluded from tier-1;
 ``scripts/bench_smoke.sh`` runs a tiny-scale variant (which skips the
-speedup assertion — at toy sizes fixed pool overhead dominates).
+speedup assertion — toy sizes are too small to time).
 """
 
 from __future__ import annotations
@@ -34,13 +32,7 @@ import pytest
 
 from repro.apps import top_k_pairs, top_k_pairs_reference
 from repro.core.types import Community
-from repro.engine import (
-    BatchEngine,
-    FaultPolicy,
-    FaultSpec,
-    JoinResultCache,
-    PairJob,
-)
+from repro.engine import JoinResultCache
 from repro.obs import MetricsRegistry
 from repro.testing import banded_community_fleet
 
@@ -51,8 +43,7 @@ USERS = int(os.environ.get("REPRO_BENCH_ENGINE_USERS", 200))
 DIMS = int(os.environ.get("REPRO_BENCH_ENGINE_DIMS", 8))
 EPSILON = int(os.environ.get("REPRO_BENCH_ENGINE_EPSILON", 2))
 TOP_K = int(os.environ.get("REPRO_BENCH_ENGINE_K", 10))
-N_JOBS = int(os.environ.get("REPRO_BENCH_ENGINE_N_JOBS", 4))
-#: Smoke mode checks correctness only (pool overhead dominates tiny runs).
+#: Smoke mode checks correctness only (toy sizes are too small to time).
 SMOKE = os.environ.get("REPRO_BENCH_ENGINE_SMOKE", "0") == "1"
 
 _JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
@@ -110,13 +101,7 @@ def bench_engine_batch(report_writer):
     reference, t_reference = timed(
         "reference", lambda: top_k_pairs_reference(fleet, **kwargs)
     )
-    serial, t_serial = timed(
-        "engine n_jobs=1", lambda: top_k_pairs(fleet, n_jobs=1, **kwargs)
-    )
-    parallel, t_parallel = timed(
-        f"engine n_jobs={N_JOBS}",
-        lambda: top_k_pairs(fleet, n_jobs=N_JOBS, **kwargs),
-    )
+    serial, t_serial = timed("engine", lambda: top_k_pairs(fleet, **kwargs))
     cache = JoinResultCache(max_entries=4096)
     timed("cache cold fill", lambda: top_k_pairs(fleet, cache=cache, **kwargs))
     cached, t_cached = timed(
@@ -152,7 +137,6 @@ def bench_engine_batch(report_writer):
 
     expected = ranking_bytes(reference)
     assert ranking_bytes(serial) == expected
-    assert ranking_bytes(parallel) == expected
     assert ranking_bytes(cached) == expected
     assert ranking_bytes(with_telemetry) == expected
     assert registry.counter("repro_engine_jobs_total", disposition="computed") > 0
@@ -172,18 +156,15 @@ def bench_engine_batch(report_writer):
         },
         "environment": {
             "cpu_count": os.cpu_count(),
-            "n_jobs": N_JOBS,
             "smoke": SMOKE,
         },
         "seconds": {
             "reference_serial_topk": round(t_reference, 4),
             "engine_serial": round(t_serial, 4),
-            "engine_parallel": round(t_parallel, 4),
             "engine_cache_warm": round(t_cached, 4),
         },
         "speedup_vs_reference": {
             "engine_serial": round(t_reference / t_serial, 2),
-            "engine_parallel": round(t_reference / t_parallel, 2),
             "engine_cache_warm": round(t_reference / t_cached, 2),
         },
         "cache": cache.stats(),
@@ -200,8 +181,8 @@ def bench_engine_batch(report_writer):
     if not SMOKE:
         _JSON_PATH.write_text(report + "\n")
         print(f"[results recorded in {_JSON_PATH}]")
-        assert t_parallel < t_reference, (
-            f"parallel engine ({t_parallel:.3f}s) did not beat the serial "
+        assert t_serial < t_reference, (
+            f"engine ({t_serial:.3f}s) did not beat the serial "
             f"reference top-k path ({t_reference:.3f}s)"
         )
         assert disabled_overhead_pct < 5.0, (
@@ -242,77 +223,3 @@ def bench_engine_sweep_cache(report_writer):
         f"warm {t_warm:.3f}s ({cache.stats()})",
     )
 
-
-def _strip_timings(result) -> dict:
-    payload = result.to_dict()
-    payload.pop("elapsed_seconds", None)
-    payload.pop("stage_seconds", None)
-    return payload
-
-
-@pytest.mark.bench
-def bench_engine_faults(report_writer):
-    """Supervision overhead on a clean run, plus the retry path.
-
-    Times the same intra-band batch three ways — unsupervised, under a
-    :class:`FaultPolicy` with no fault, and under the same policy with
-    one injected transient crash (one retry) — and asserts the result
-    payloads stay identical throughout.  The section merges into
-    ``BENCH_engine.json`` (written earlier by ``bench_engine_batch``)
-    when not in smoke mode.
-    """
-    fleet = build_fleet()
-    policy = FaultPolicy(retries=2, backoff_base=0.001, backoff_cap=0.01, jitter=0.0)
-    jobs = [
-        PairJob.build(band * PER_BAND, band * PER_BAND + 1, "ex-minmax", EPSILON)
-        for band in range(BANDS)
-    ]
-
-    def run_batch(fault_policy, injector):
-        with BatchEngine(
-            fleet,
-            n_jobs=N_JOBS,
-            screen=False,
-            fault_policy=fault_policy,
-            fault_injector=injector,
-        ) as engine:
-            outcomes = engine.run(jobs)
-            return [o.result for o in outcomes], engine.stats()
-
-    (plain, _), t_plain = timed(
-        "batch unsupervised", lambda: run_batch(None, None)
-    )
-    (clean, _), t_supervised = timed(
-        "batch supervised", lambda: run_batch(policy, None)
-    )
-    (retried, stats), t_retry = timed(
-        "batch retry-path",
-        lambda: run_batch(policy, FaultSpec(mode="raise", at=0, fail_attempts=1)),
-    )
-    expected = [_strip_timings(result) for result in plain]
-    assert [_strip_timings(result) for result in clean] == expected
-    assert [_strip_timings(result) for result in retried] == expected
-    assert stats["faults"]["retries"] == 1
-    assert stats["faults"]["quarantined"] == 0
-
-    section = {
-        "jobs": len(jobs),
-        "n_jobs": N_JOBS,
-        "policy": {"retries": policy.retries, "timeout": policy.timeout},
-        "seconds": {
-            "unsupervised": round(t_plain, 4),
-            "supervised_clean": round(t_supervised, 4),
-            "supervised_one_retry": round(t_retry, 4),
-        },
-        "supervision_overhead_pct": round(
-            100.0 * (t_supervised / t_plain - 1.0), 2
-        ),
-        "retry_overhead_pct": round(100.0 * (t_retry / t_supervised - 1.0), 2),
-        "results_identical": True,
-    }
-    report_writer("engine_faults", json.dumps(section, indent=2))
-    if not SMOKE and _JSON_PATH.exists():
-        merged = json.loads(_JSON_PATH.read_text())
-        merged["faults"] = section
-        _JSON_PATH.write_text(json.dumps(merged, indent=2) + "\n")
-        print(f"[faults section merged into {_JSON_PATH}]")

@@ -40,7 +40,7 @@ def main() -> None:
             b, a = couples[0]
 
             served = client.join(b.name, a.name, epsilon=EPSILON)
-            with BatchEngine([b, a], n_jobs=1) as engine:
+            with BatchEngine([b, a]) as engine:
                 direct = engine.run(
                     [PairJob.build(0, 1, "ex-minmax", EPSILON)]
                 )[0].result

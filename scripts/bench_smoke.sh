@@ -1,14 +1,13 @@
 #!/usr/bin/env bash
 # Tiny-scale smoke run of the engine benchmarks.
 #
-# Exercises the full bench code path (reference vs engine-serial vs
-# engine-parallel vs cache-warm, byte-identical ranking assertions, the
-# supervised/retry-path faults bench, the serving-layer load and
+# Exercises the full bench code path (reference vs engine vs cache-warm,
+# byte-identical ranking assertions, the serving-layer load and
 # burst-shedding benches, plus the incremental delta-maintenance bench
 # and the persistent-catalog bench) in a few seconds.  Smoke mode skips
 # the speedup assertions and does NOT overwrite BENCH_engine.json — run
 # the benches without these knobs to record real numbers (including the
-# "faults", "serve", "delta" and "catalog" sections).
+# "serve", "delta" and "catalog" sections).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -17,7 +16,6 @@ export REPRO_BENCH_ENGINE_BANDS=3
 export REPRO_BENCH_ENGINE_PER_BAND=3
 export REPRO_BENCH_ENGINE_USERS=40
 export REPRO_BENCH_ENGINE_DIMS=5
-export REPRO_BENCH_ENGINE_N_JOBS=2
 
 export REPRO_BENCH_SERVE_SMOKE=1
 export REPRO_BENCH_SERVE_CLIENTS=2

@@ -58,7 +58,6 @@ from .engine import (
     BatchEngine,
     CheckpointLog,
     Disposition,
-    FaultPolicy,
     JoinResultCache,
     PairJob,
     PairOutcome,
@@ -119,7 +118,6 @@ __all__ = [
     "BatchEngine",
     "CheckpointLog",
     "Disposition",
-    "FaultPolicy",
     "JoinResultCache",
     "PairJob",
     "PairOutcome",

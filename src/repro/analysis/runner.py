@@ -30,7 +30,7 @@ from pathlib import Path
 from ..algorithms import APPROXIMATE_METHODS, EXACT_METHODS, get_algorithm
 from ..core.errors import ConfigurationError
 from ..core.types import Community, CSJResult
-from ..engine import BatchEngine, CheckpointLog, FaultPolicy, JoinResultCache, PairJob
+from ..engine import BatchEngine, CheckpointLog, JoinResultCache, PairJob
 from ..obs import JoinTelemetry, MetricsRegistry
 from ..datasets.categories import CATEGORIES
 from ..datasets.couples import (
@@ -169,21 +169,17 @@ def run_couple(
     scale: float = DEFAULT_SCALE,
     engine: str = "numpy",
     method_options: dict[str, dict] | None = None,
-    n_jobs: int = 1,
     cache: JoinResultCache | int | None = None,
     metrics: MetricsRegistry | None = None,
-    fault_policy: FaultPolicy | None = None,
     checkpoint: CheckpointLog | str | Path | None = None,
 ) -> CoupleRun:
     """Build one couple and run every requested method on it.
 
     The methods execute on the :class:`~repro.engine.BatchEngine`, so a
-    shared ``cache`` carries results across repeated calls and
-    ``n_jobs`` > 1 runs the methods in parallel worker processes.
-    With ``metrics`` the engine's per-join telemetry lands on the
-    returned run's ``telemetry`` list.  ``fault_policy`` enables
-    supervised execution (timeouts / retries / quarantine);
-    ``checkpoint`` makes completed joins durable for resumption.
+    shared ``cache`` carries results across repeated calls.  With
+    ``metrics`` the engine's per-join telemetry lands on the returned
+    run's ``telemetry`` list; ``checkpoint`` makes completed joins
+    durable for resumption.
     """
     community_b, community_a = build_couple(spec, generator, scale=scale)
     run = CoupleRun(spec=spec, size_b=len(community_b), size_a=len(community_a))
@@ -192,10 +188,8 @@ def run_couple(
     )
     with BatchEngine(
         [community_b, community_a],
-        n_jobs=n_jobs,
         cache=cache,
         metrics=metrics,
-        fault_policy=fault_policy,
         checkpoint=checkpoint,
     ) as batch_engine:
         for job, outcome in zip(jobs, batch_engine.run(jobs)):
@@ -213,25 +207,22 @@ def run_method_table(
     methods: tuple[str, ...] | None = None,
     couples: tuple[CoupleSpec, ...] | None = None,
     method_options: dict[str, dict] | None = None,
-    n_jobs: int = 1,
     cache: JoinResultCache | int | None = None,
     metrics: MetricsRegistry | None = None,
-    fault_policy: FaultPolicy | None = None,
     checkpoint: CheckpointLog | str | Path | None = None,
 ) -> TableRun:
     """Regenerate one of Tables 3–10 at the given scale.
 
     All couples are generated up front (dataset generation stays
     deterministic and serial), then every ``couple x method`` join runs
-    as one :class:`~repro.engine.BatchEngine` batch: ``n_jobs`` > 1
-    spreads the joins over worker processes sharing the vectors through
-    shared memory, and ``cache`` makes sweep-style repeated table runs
-    (or overlapping tables) skip identical joins entirely.  With
-    ``metrics`` the per-join telemetry records land on the returned
-    run's ``telemetry`` list (and on each row's, per couple).
-    ``fault_policy`` supervises the joins and ``checkpoint`` makes the
-    finished ones durable, so a killed table run resumes with only the
-    unfinished couple x method cells recomputed.
+    as one :class:`~repro.engine.BatchEngine` batch, in-process and one
+    join at a time, so each join's runtime is measured alone; ``cache``
+    makes sweep-style repeated table runs (or overlapping tables) skip
+    identical joins entirely.  With ``metrics`` the per-join telemetry
+    records land on the returned run's ``telemetry`` list (and on each
+    row's, per couple).  ``checkpoint`` makes the finished joins
+    durable, so a killed table run resumes with only the unfinished
+    couple x method cells recomputed.
     """
     dataset = dataset_for_table(table)
     chosen_methods = methods if methods is not None else methods_for_table(table)
@@ -266,10 +257,8 @@ def run_method_table(
         )
     with BatchEngine(
         communities,
-        n_jobs=n_jobs,
         cache=cache,
         metrics=metrics,
-        fault_policy=fault_policy,
         checkpoint=checkpoint,
     ) as batch_engine:
         outcomes = batch_engine.run(jobs)

@@ -21,7 +21,7 @@ from ..core.types import Community, CSJResult
 from ..datasets.couples import CoupleSpec, build_couple
 from ..datasets.synthetic import SyntheticGenerator
 from ..datasets.vk import VKGenerator
-from ..engine import BatchEngine, CheckpointLog, FaultPolicy, JoinResultCache, PairJob
+from ..engine import BatchEngine, CheckpointLog, JoinResultCache, PairJob
 from ..obs import JoinTelemetry, MetricsRegistry
 
 __all__ = [
@@ -58,11 +58,9 @@ def epsilon_sweep(
     epsilons: list[int],
     *,
     method: str = "ex-minmax",
-    n_jobs: int = 1,
     cache: JoinResultCache | int | None = None,
     metrics: MetricsRegistry | None = None,
     telemetry: list[JoinTelemetry] | None = None,
-    fault_policy: FaultPolicy | None = None,
     checkpoint: CheckpointLog | str | Path | None = None,
     **options: object,
 ) -> list[SweepPoint]:
@@ -74,12 +72,11 @@ def epsilon_sweep(
     data's meaningful epsilon.
 
     The joins run as one :class:`~repro.engine.BatchEngine` batch, so a
-    shared ``cache`` makes repeated sweeps over the same couple free and
-    ``n_jobs`` > 1 evaluates the epsilon grid in parallel.  With
-    ``metrics`` attached, the engine's per-join records are appended to
-    ``telemetry`` (when given).  ``fault_policy`` supervises the joins
-    (timeouts / retries / quarantine) and ``checkpoint`` makes finished
-    joins durable, so a killed sweep resumes without recomputation.
+    shared ``cache`` makes repeated sweeps over the same couple free.
+    With ``metrics`` attached, the engine's per-join records are
+    appended to ``telemetry`` (when given).  ``checkpoint`` makes
+    finished joins durable, so a killed sweep resumes without
+    recomputation.
     """
     if not epsilons:
         raise ConfigurationError("epsilon_sweep needs at least one epsilon")
@@ -90,10 +87,8 @@ def epsilon_sweep(
     ]
     with BatchEngine(
         [community_b, community_a],
-        n_jobs=n_jobs,
         cache=cache,
         metrics=metrics,
-        fault_policy=fault_policy,
         checkpoint=checkpoint,
     ) as engine:
         outcomes = engine.run(jobs)
@@ -112,11 +107,9 @@ def catalog_epsilon_sweep(
     epsilons: list[int],
     *,
     method: str = "ex-minmax",
-    n_jobs: int = 1,
     cache: JoinResultCache | int | None = None,
     metrics: MetricsRegistry | None = None,
     telemetry: list[JoinTelemetry] | None = None,
-    fault_policy: FaultPolicy | None = None,
     checkpoint: CheckpointLog | str | Path | None = None,
     **options: object,
 ) -> list[SweepPoint]:
@@ -148,11 +141,9 @@ def catalog_epsilon_sweep(
         catalog.get(key_a),
         epsilons,
         method=method,
-        n_jobs=n_jobs,
         cache=cache,
         metrics=metrics,
         telemetry=telemetry,
-        fault_policy=fault_policy,
         checkpoint=checkpoint,
         **options,
     )
@@ -165,11 +156,9 @@ def scale_sweep(
     *,
     epsilon: int,
     method: str = "ex-minmax",
-    n_jobs: int = 1,
     cache: JoinResultCache | int | None = None,
     metrics: MetricsRegistry | None = None,
     telemetry: list[JoinTelemetry] | None = None,
-    fault_policy: FaultPolicy | None = None,
     checkpoint: CheckpointLog | str | Path | None = None,
     **options: object,
 ) -> list[SweepPoint]:
@@ -179,8 +168,8 @@ def scale_sweep(
     method — a per-method generalisation of Table 11.  The joins of all
     scales execute as one :class:`~repro.engine.BatchEngine` batch.
     With ``metrics`` attached, the engine's per-join records are
-    appended to ``telemetry`` (when given).  ``fault_policy`` and
-    ``checkpoint`` behave as in :func:`epsilon_sweep`.
+    appended to ``telemetry`` (when given).  ``checkpoint`` behaves as
+    in :func:`epsilon_sweep`.
     """
     if not scales:
         raise ConfigurationError("scale_sweep needs at least one scale")
@@ -194,10 +183,8 @@ def scale_sweep(
     ]
     with BatchEngine(
         communities,
-        n_jobs=n_jobs,
         cache=cache,
         metrics=metrics,
-        fault_policy=fault_policy,
         checkpoint=checkpoint,
     ) as engine:
         outcomes = engine.run(jobs)

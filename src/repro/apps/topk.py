@@ -14,10 +14,10 @@ ranked from a lazy similarity-0 tail.  One routine, ``_rank_pairs``,
 ranks every source: it hands the pairs the screen cannot rule out to a
 ``screen`` and a ``refine`` executor.  For a list or a
 :class:`~repro.catalog.PersistentCatalog` those run
-:class:`~repro.engine.PairJob` entries on a
+:class:`~repro.engine.PairJob` entries in-process on a
 :class:`~repro.engine.BatchEngine` (which brings the join-result cache
-and multi-process execution, ``n_jobs``); the shard coordinator passes
-executors that run ``join_batch`` requests on the pairs' owner shards.
+and the checkpoint log); the shard coordinator passes executors that
+run ``join_batch`` requests on the pairs' owner shards.
 ``top_k_pairs_reference`` preserves the pre-engine serial loop as a
 differential-testing oracle and as the baseline the engine benchmarks
 measure against.  Every source, the oracle included, enumerates a pair
@@ -44,7 +44,6 @@ from ..core.validation import validate_epsilon
 from ..engine import (
     BatchEngine,
     CheckpointLog,
-    FaultPolicy,
     JoinResultCache,
     PairJob,
     canonical_options,
@@ -116,12 +115,10 @@ def top_k_pairs(
     screen_method: str = "ap-minmax",
     refine_method: str = "ex-minmax",
     screen_margin: float = 0.8,
-    n_jobs: int = 1,
     cache: JoinResultCache | int | None = None,
     envelope_screen: bool = True,
     metrics: MetricsRegistry | None = None,
     telemetry: list[JoinTelemetry] | None = None,
-    fault_policy: FaultPolicy | None = None,
     checkpoint: CheckpointLog | str | Path | None = None,
     keys: list[str] | None = None,
     **options: object,
@@ -141,16 +138,14 @@ def top_k_pairs(
     ``screen_margin`` < 1 widens the refinement pool to protect against
     approximate underestimation promoting the wrong pairs.
 
-    ``n_jobs`` > 1 distributes the joins across worker processes and
     ``cache`` (an :class:`~repro.engine.JoinResultCache`, or an int
-    capacity) memoises joins across calls; both leave the returned
-    ranking identical to the serial computation.  With ``metrics``
-    attached, the engine's per-join records for both phases are
-    appended to ``telemetry`` (when given); envelope-ruled-out pairs
-    never reach the engine and have no record.  ``fault_policy``
-    supervises both phases (timeouts / retries / quarantine) and
+    capacity) memoises joins across calls and leaves the returned
+    ranking unchanged.  With ``metrics`` attached, the engine's per-join
+    records for both phases are appended to ``telemetry`` (when given);
+    envelope-ruled-out pairs never reach the engine and have no record.
     ``checkpoint`` makes completed joins durable so a killed ranking
-    resumes without recomputing finished pairs.
+    resumes without recomputing finished pairs.  A join that raises
+    propagates: no ranking is returned.
 
     ``communities`` may also be a
     :class:`~repro.catalog.PersistentCatalog` (optionally restricted to
@@ -222,11 +217,9 @@ def top_k_pairs(
         roster, slots = communities, range(len(communities))
     with BatchEngine(
         roster,
-        n_jobs=n_jobs,
         screen=False,
         cache=cache,
         metrics=metrics,
-        fault_policy=fault_policy,
         checkpoint=checkpoint,
     ) as engine:
         job_options = canonical_options(options)

@@ -43,31 +43,11 @@ __all__ = ["main", "build_parser"]
 def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     """Batch-engine knobs shared by the batch subcommands."""
     parser.add_argument(
-        "--n-jobs",
-        type=int,
-        default=1,
-        help="worker processes for the batch engine (1 = in-process)",
-    )
-    parser.add_argument(
         "--cache",
         type=int,
         default=0,
         metavar="ENTRIES",
         help="join-result cache capacity (0 disables caching)",
-    )
-    parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-join deadline; enables supervised (fault-tolerant) execution",
-    )
-    parser.add_argument(
-        "--retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="retries per failed join before quarantine (enables supervision)",
     )
     parser.add_argument(
         "--resume-from",
@@ -81,17 +61,7 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _engine_kwargs(args: argparse.Namespace) -> dict:
-    kwargs: dict = {
-        "n_jobs": args.n_jobs,
-        "cache": args.cache if args.cache > 0 else None,
-    }
-    if args.timeout is not None or args.retries is not None:
-        from .engine import FaultPolicy
-
-        kwargs["fault_policy"] = FaultPolicy(
-            timeout=args.timeout,
-            retries=args.retries if args.retries is not None else 2,
-        )
+    kwargs: dict = {"cache": args.cache if args.cache > 0 else None}
     if args.resume_from is not None:
         kwargs["checkpoint"] = args.resume_from
     return kwargs
@@ -982,7 +952,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         print(
             f"top-{args.k} of {len(communities)} {args.dataset} communities "
-            f"(epsilon={epsilon}, n_jobs={args.n_jobs})"
+            f"(epsilon={epsilon})"
         )
         for rank, score in enumerate(scores, start=1):
             print(

@@ -1,29 +1,18 @@
-"""Batch execution engine: parallel joins, pre-screening and caching.
+"""Batch execution engine: pre-screening, caching and checkpointing.
 
 The substrate behind every batch workload (top-k pair ranking, the
-table harness, parameter sweeps): a :class:`BatchEngine` fans
-community-pair jobs out over worker processes backed by a shared-memory
-vector store, skips pairs whose min/max envelopes prove a zero
-similarity, and memoises results in a content-addressed LRU cache.
-A :class:`JobSupervisor` (enabled via ``fault_policy``) adds per-job
-timeouts, retries with backoff, poison-job quarantine and degraded-mode
-fallback, while :class:`CheckpointLog` makes sweep completion durable
-across crashes.
+table harness, parameter sweeps): a :class:`BatchEngine` runs
+community-pair jobs in-process, skips pairs whose min/max envelopes
+prove a zero similarity, and memoises results in a content-addressed
+LRU cache, while :class:`CheckpointLog` makes sweep completion durable
+across crashes.  A join that raises reaches the caller.
 """
 
 from .batch import BatchEngine, Disposition, PairJob, PairOutcome
 from .cache import JoinResultCache, canonical_options, decoded_options, join_key
 from .checkpoint import CheckpointLog
 from .envelope import Envelope, community_envelope, envelopes_separated
-from .faults import (
-    FaultPolicy,
-    FaultSpec,
-    InjectedFault,
-    JobSupervisor,
-    QuarantineRecord,
-)
 from .fingerprint import community_fingerprint, matrix_fingerprint, pair_fingerprint
-from .shared import AttachedVectorStore, CommunitySpec, SharedVectorStore, StoreLayout
 
 __all__ = [
     "BatchEngine",
@@ -35,19 +24,10 @@ __all__ = [
     "decoded_options",
     "join_key",
     "CheckpointLog",
-    "FaultPolicy",
-    "FaultSpec",
-    "InjectedFault",
-    "JobSupervisor",
-    "QuarantineRecord",
     "Envelope",
     "community_envelope",
     "envelopes_separated",
     "community_fingerprint",
     "matrix_fingerprint",
     "pair_fingerprint",
-    "SharedVectorStore",
-    "AttachedVectorStore",
-    "CommunitySpec",
-    "StoreLayout",
 ]

@@ -15,9 +15,10 @@ did the cache actually help" through three cooperating pieces:
   type, disposition, cache/screen flags, per-stage seconds), exported
   as JSON lines and summarised by ``repro-csj stats``.
 
-Worker processes build their own registries and ship snapshots back to
-the parent, which merges them (:meth:`MetricsRegistry.merge`) so
-``n_jobs > 1`` runs aggregate exactly like serial ones.
+The serve layer's executor threads record each request into a scratch
+registry and ship its snapshot back to the event loop, which merges it
+(:meth:`MetricsRegistry.merge`) into the server's registry, so the
+shared registry is only ever written from one thread.
 """
 
 from .registry import (

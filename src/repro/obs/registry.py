@@ -6,17 +6,19 @@ Design constraints, in order:
    ``metrics: MetricsRegistry | None`` and guard with a single
    ``is not None`` test; no registry object ever exists on the disabled
    path.  ``DISABLED`` (``None``) names that convention.
-2. **Mergeable across processes.**  Worker registries serialise to
-   plain-dict snapshots; :meth:`MetricsRegistry.merge` folds a snapshot
-   into the parent (counters and histograms add, gauges last-write).
-   This is how ``n_jobs > 1`` engine runs aggregate correctly.
+2. **Mergeable.**  Registries serialise to plain-dict snapshots;
+   :meth:`MetricsRegistry.merge` folds a snapshot into another registry
+   (counters and histograms add, gauges last-write).  This is how the
+   serve layer's per-request scratch registries, filled on executor
+   threads, reach the server's registry on the event loop, and how
+   ``repro-csj stats --prometheus`` rebuilds a run log's metrics.
 3. **Readable at the edges.**  :meth:`MetricsRegistry.snapshot` is
    JSON-ready for the run logs; :meth:`MetricsRegistry.to_prometheus`
    emits the text exposition format for scraping or eyeballing.
 
 Metrics are keyed by ``(name, sorted labels)``.  The registry is not
-thread-safe: the engine is single-threaded per process and each worker
-owns its own registry.
+thread-safe: the engine runs on its caller's thread, and each serve
+request owns its scratch registry until the loop merges it.
 """
 
 from __future__ import annotations

@@ -13,14 +13,14 @@ are split in two:
   executor via ``run_in_executor``.
 
 Execution reuses the batch layer wholesale: each request runs a
-short-lived serial :class:`~repro.engine.BatchEngine` over the frozen
+short-lived :class:`~repro.engine.BatchEngine` over the frozen
 snapshots, sharing the server's thread-safe
 :class:`~repro.engine.JoinResultCache` (so repeated couples are served
-from memory across requests and across threads), the envelope
-pre-screen, and — when configured — :class:`~repro.engine.FaultPolicy`
-supervision.  Engine-side metrics are collected into a scratch registry
-that travels back with the result; the server merges it on the loop, so
-the shared registry is only ever written from one thread.
+from memory across requests and across threads) and the envelope
+pre-screen.  A join that raises becomes the request's ``internal``
+error response.  Engine-side metrics are collected into a scratch
+registry that travels back with the result; the server merges it on the
+loop, so the shared registry is only ever written from one thread.
 
 Argument errors raise :class:`~repro.serve.protocol.ProtocolError`
 (mapped to ``invalid``); unknown community names raise
@@ -40,7 +40,6 @@ from ..apps import top_k_pairs
 from ..core.types import Community
 from ..engine import (
     BatchEngine,
-    FaultPolicy,
     JoinResultCache,
     PairJob,
     PairOutcome,
@@ -185,7 +184,6 @@ class JoinWork:
     cache: JoinResultCache | None
     screen: bool
     enforce_size_ratio: bool
-    fault_policy: FaultPolicy | None
     collect_metrics: bool = False
 
 
@@ -201,7 +199,6 @@ class TopkWork:
     options: dict[str, object]
     cache: JoinResultCache | None
     screen: bool
-    fault_policy: FaultPolicy | None
     collect_metrics: bool = False
     names: list[str] = field(default_factory=list)
 
@@ -225,7 +222,6 @@ def plan_join(server: "CSJServer", args: Mapping[str, object]) -> JoinWork:
         enforce_size_ratio=_arg_bool(
             args, "enforce_size_ratio", config.enforce_size_ratio
         ),
-        fault_policy=config.fault_policy,
         collect_metrics=True,
     )
 
@@ -264,7 +260,6 @@ def plan_topk(server: "CSJServer", args: Mapping[str, object]) -> TopkWork:
         ),
         cache=server.cache,
         screen=_arg_bool(args, "screen", config.screen),
-        fault_policy=config.fault_policy,
         collect_metrics=True,
         names=names,
     )
@@ -361,7 +356,6 @@ class JoinBatchWork:
     include_results: bool
     cache: JoinResultCache | None
     screen: bool
-    fault_policy: FaultPolicy | None
     collect_metrics: bool = False
 
 
@@ -414,7 +408,6 @@ def plan_join_batch(
         include_results=_arg_bool(args, "include_results", False),
         cache=server.cache,
         screen=_arg_bool(args, "screen", config.screen),
-        fault_policy=config.fault_policy,
         collect_metrics=True,
     )
 
@@ -458,11 +451,9 @@ def execute_join_batch_work(work: JoinBatchWork) -> tuple[dict, dict | None]:
     ]
     with BatchEngine(
         roster,
-        n_jobs=1,
         screen=work.screen,
         cache=work.cache,
         metrics=scratch,
-        fault_policy=work.fault_policy,
     ) as engine:
         outcomes = engine.run(jobs)
     entries: list[dict[str, object]] = []
@@ -548,28 +539,21 @@ def execute_join_work(work: JoinWork) -> tuple[dict, dict | None]:
     similarity and matching are identical to that direct computation.
     """
     scratch = MetricsRegistry() if work.collect_metrics else None
-    engine = BatchEngine(
+    with BatchEngine(
         [work.first.community, work.second.community],
-        n_jobs=1,
         screen=work.screen,
         cache=work.cache,
         enforce_size_ratio=work.enforce_size_ratio,
         metrics=scratch,
-        fault_policy=work.fault_policy,
-    )
-    try:
+    ) as engine:
         job = PairJob.build(0, 1, work.method, work.epsilon, work.options)
         outcome: PairOutcome = engine.run([job])[0]
-    finally:
-        engine.close()
     result: dict[str, object] = {
         "disposition": outcome.disposition.value,
         "result": outcome.result.to_dict(),
         "first": _snapshot_info(work.first),
         "second": _snapshot_info(work.second),
     }
-    if outcome.error is not None:
-        result["error"] = outcome.error
     return result, (scratch.snapshot() if scratch is not None else None)
 
 
@@ -588,7 +572,6 @@ def execute_topk_work(work: TopkWork) -> tuple[dict, dict | None]:
         cache=work.cache,
         envelope_screen=work.screen,
         metrics=scratch,
-        fault_policy=work.fault_policy,
         **work.options,
     )
     versions = {

@@ -40,7 +40,7 @@ from typing import Callable
 from .._version import __version__
 from ..catalog import init_catalog_metrics
 from ..core.errors import ReproError
-from ..engine import FaultPolicy, JoinResultCache
+from ..engine import JoinResultCache
 from ..obs import MetricsRegistry
 
 # Submodule-direct import on purpose: repro.shard's package init pulls
@@ -92,8 +92,7 @@ class ServeConfig:
     ``executor_threads`` bounds concurrent joins; together with
     ``admission.max_pending`` it caps the executor backlog.
     ``cache_entries`` sizes the shared join-result cache (0 disables
-    it).  ``fault_policy`` supervises every served join exactly as it
-    would a batch run.
+    it).
     """
 
     host: str = "127.0.0.1"
@@ -103,7 +102,6 @@ class ServeConfig:
     cache_entries: int = 1024
     screen: bool = True
     enforce_size_ratio: bool = True
-    fault_policy: FaultPolicy | None = None
     #: Maintain per-couple delta joins for the ``update`` endpoint; off
     #: by default (updates then fall back to full recompute per call).
     delta_maintenance: bool = False

@@ -26,6 +26,7 @@ from repro.engine import (
     Disposition,
     JoinResultCache,
     PairJob,
+    PairOutcome,
     canonical_options,
     decoded_options,
     community_envelope,
@@ -35,7 +36,6 @@ from repro.engine import (
     matrix_fingerprint,
 )
 from repro.engine.envelope import stack_envelopes, surviving_pairs
-from repro.engine.shared import AttachedVectorStore, SharedVectorStore
 from repro.obs import MetricsRegistry, summarize_records
 from repro.testing import banded_community_fleet as banded_fleet
 from repro.testing import brute_force_candidate_pairs
@@ -70,27 +70,7 @@ def comparable(outcomes) -> list[tuple]:
     return rows
 
 
-class TestSerialParallelDeterminism:
-    def test_identical_results_and_matchings(self):
-        fleet = banded_fleet()
-        jobs = all_pair_jobs(fleet)
-        with BatchEngine(fleet, n_jobs=1) as serial_engine:
-            serial = serial_engine.run(jobs)
-        with BatchEngine(fleet, n_jobs=2) as parallel_engine:
-            parallel = parallel_engine.run(jobs)
-        assert comparable(serial) == comparable(parallel)
-        assert [o.result.events.as_dict() for o in serial] == [
-            o.result.events.as_dict() for o in parallel
-        ]
-
-    def test_parallel_pool_reuse_across_runs(self):
-        fleet = banded_fleet(2, 3)
-        jobs = all_pair_jobs(fleet)
-        with BatchEngine(fleet, n_jobs=2) as engine:
-            first = engine.run(jobs)
-            second = engine.run(jobs)
-        assert comparable(first) == comparable(second)
-
+class TestBatchDeterminism:
     def test_mixed_methods_in_one_batch(self):
         fleet = banded_fleet(2, 3)
         jobs = [
@@ -98,12 +78,20 @@ class TestSerialParallelDeterminism:
             PairJob.build(0, 1, "ex-minmax", 2),
             PairJob.build(1, 2, "ex-baseline", 2),
         ]
-        with BatchEngine(fleet, n_jobs=1) as serial_engine:
-            serial = serial_engine.run(jobs)
-        with BatchEngine(fleet, n_jobs=2) as parallel_engine:
-            parallel = parallel_engine.run(jobs)
-        assert comparable(serial) == comparable(parallel)
-        assert [o.result.method for o in serial] == [
+        with BatchEngine(fleet, screen=False) as engine:
+            outcomes = engine.run(jobs)
+        # One batch of mixed methods answers each job as a direct join would.
+        direct = [
+            get_algorithm(job.method, job.epsilon).join(
+                fleet[job.first], fleet[job.second]
+            )
+            for job in jobs
+        ]
+        assert comparable(outcomes) == comparable(
+            PairOutcome(job, Disposition.COMPUTED, result)
+            for job, result in zip(jobs, direct)
+        )
+        assert [o.result.method for o in outcomes] == [
             "ap-minmax",
             "ex-minmax",
             "ex-baseline",
@@ -114,11 +102,11 @@ class TestEnvelopeScreen:
     def test_screened_pairs_have_zero_similarity_by_direct_join(self):
         fleet = banded_fleet()
         jobs = all_pair_jobs(fleet)
-        with BatchEngine(fleet, n_jobs=1, screen=True) as engine:
+        with BatchEngine(fleet, screen=True) as engine:
             outcomes = engine.run(jobs)
         screened = [o for o in outcomes if o.disposition is Disposition.SCREENED]
         assert screened, "band structure should trigger the pre-screen"
-        with BatchEngine(fleet, n_jobs=1, screen=False) as verifier:
+        with BatchEngine(fleet, screen=False) as verifier:
             direct = verifier.run([o.job for o in screened])
         for screened_outcome, direct_outcome in zip(screened, direct):
             assert direct_outcome.result.similarity == 0.0
@@ -366,32 +354,7 @@ class TestFingerprints:
         assert decoded_options(canonical_options(options)) == options
 
 
-class TestSharedStore:
-    def test_roundtrip_through_shared_memory(self):
-        fleet = banded_fleet(2, 2)
-        store = SharedVectorStore(fleet)
-        try:
-            attached = AttachedVectorStore(store.layout)
-            for index, community in enumerate(fleet):
-                rebuilt = attached.community(index)
-                assert rebuilt.name == community.name
-                assert rebuilt.category == community.category
-                assert np.array_equal(rebuilt.vectors, community.vectors)
-                assert attached.community(index) is rebuilt  # memoised
-        finally:
-            store.close()
-
-    def test_close_is_idempotent(self):
-        store = SharedVectorStore(banded_fleet(1, 2))
-        store.close()
-        store.close()
-
-
 class TestEngineErrors:
-    def test_invalid_n_jobs(self):
-        with pytest.raises(ConfigurationError):
-            BatchEngine(banded_fleet(1, 2), n_jobs=0)
-
     def test_unknown_method(self):
         with BatchEngine(banded_fleet(1, 2)) as engine:
             with pytest.raises(UnknownAlgorithmError):
@@ -435,63 +398,29 @@ def nonzero(events: dict[str, int]) -> dict[str, int]:
 
 
 class TestTelemetryDifferential:
-    """n_jobs=1, n_jobs=2 and the reference loop agree — results AND
-    telemetry aggregates."""
+    """The engine and the reference loop agree — results AND telemetry
+    aggregates."""
 
     def test_rankings_byte_identical_across_all_paths(self):
         fleet = banded_fleet(2, 3)
-        serial_metrics, parallel_metrics = MetricsRegistry(), MetricsRegistry()
-        serial_records: list = []
-        parallel_records: list = []
+        records: list = []
         reference = top_k_pairs_reference(fleet, epsilon=2, k=4)
-        serial = top_k_pairs(
+        scores = top_k_pairs(
             fleet,
             epsilon=2,
             k=4,
-            metrics=serial_metrics,
-            telemetry=serial_records,
+            metrics=MetricsRegistry(),
+            telemetry=records,
         )
-        parallel = top_k_pairs(
-            fleet,
-            epsilon=2,
-            k=4,
-            n_jobs=2,
-            metrics=parallel_metrics,
-            telemetry=parallel_records,
-        )
-        expected = ranking_key(reference)
-        assert ranking_key(serial) == expected
-        assert ranking_key(parallel) == expected
+        assert ranking_key(scores) == ranking_key(reference)
+        assert records
         # Per returned pair, the engine's event counts equal the
         # reference loop's (the joins are deterministic end to end).
-        for engine_score, reference_score in zip(serial, reference):
+        for engine_score, reference_score in zip(scores, reference):
             assert (
                 engine_score.result.events.as_dict()
                 == reference_score.result.events.as_dict()
             )
-
-    def test_per_event_type_counts_equal_serial_vs_parallel(self):
-        fleet = banded_fleet(2, 3)
-        jobs = all_pair_jobs(fleet)
-        serial_metrics, parallel_metrics = MetricsRegistry(), MetricsRegistry()
-        with BatchEngine(fleet, n_jobs=1, metrics=serial_metrics) as engine:
-            serial = engine.run(jobs)
-            serial_records = list(engine.telemetry)
-        with BatchEngine(fleet, n_jobs=2, metrics=parallel_metrics) as engine:
-            parallel = engine.run(jobs)
-            parallel_records = list(engine.telemetry)
-        assert comparable(serial) == comparable(parallel)
-        # Registry event counters aggregate identically across fan-out.
-        assert serial_metrics.counters_by_label(
-            "repro_core_events_total", "type"
-        ) == parallel_metrics.counters_by_label("repro_core_events_total", "type")
-        # And so do the per-record telemetry aggregates.
-        serial_summary = summarize_records(serial_records)
-        parallel_summary = summarize_records(parallel_records)
-        assert serial_summary.n_joins == parallel_summary.n_joins == len(jobs)
-        assert nonzero(serial_summary.events) == nonzero(parallel_summary.events)
-        assert serial_summary.dispositions == parallel_summary.dispositions
-        assert serial_summary.matched_pairs == parallel_summary.matched_pairs
 
     def test_telemetry_event_totals_match_join_results(self):
         fleet = banded_fleet(2, 2)
@@ -555,10 +484,11 @@ class TestTopKOnEngine:
         fleet = banded_fleet(2, 3)
         reference = top_k_pairs_reference(fleet, epsilon=2, k=3)
         cache = JoinResultCache()
-        parallel = top_k_pairs(fleet, epsilon=2, k=3, n_jobs=2, cache=cache)
+        cold = top_k_pairs(fleet, epsilon=2, k=3, cache=cache)
+        assert cache.hits == 0
         warm = top_k_pairs(fleet, epsilon=2, k=3, cache=cache)
         expected = [(s.name_b, s.name_a, round(s.similarity, 12)) for s in reference]
-        assert [(s.name_b, s.name_a, round(s.similarity, 12)) for s in parallel] == expected
+        assert [(s.name_b, s.name_a, round(s.similarity, 12)) for s in cold] == expected
         assert [(s.name_b, s.name_a, round(s.similarity, 12)) for s in warm] == expected
         assert cache.hits > 0
 

@@ -4,8 +4,7 @@ Covers the registry primitives (counters/gauges/histograms, snapshot
 and merge), the nestable stage timers, the JSON-lines telemetry format,
 and the *accuracy* of the mirrored counters: the registry must agree
 with the independent ground truth kept by the join cache and by the
-``CSJResult`` event counts, including across parallel fan-out and an
-LRU eviction boundary.
+``CSJResult`` event counts, including across an LRU eviction boundary.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from repro.obs import (
 )
 from repro.testing import banded_community_fleet
 
-from tests.test_engine import all_pair_jobs, comparable
+from tests.test_engine import all_pair_jobs
 
 
 def sample_records() -> list[JoinTelemetry]:
@@ -350,24 +349,6 @@ class TestTelemetryAccuracy:
         assert registry.counter("repro_engine_envelope_tests_total") > 0
         assert (
             registry.counter("repro_engine_envelope_separations_total") == stats["screened"]
-        )
-
-    def test_parallel_merge_equals_serial_counters(self):
-        fleet = banded_community_fleet(2, 3)
-        jobs = all_pair_jobs(fleet)
-        serial_registry, parallel_registry = MetricsRegistry(), MetricsRegistry()
-        with BatchEngine(fleet, n_jobs=1, metrics=serial_registry) as engine:
-            serial = engine.run(jobs)
-        with BatchEngine(fleet, n_jobs=2, metrics=parallel_registry) as engine:
-            parallel = engine.run(jobs)
-        assert comparable(serial) == comparable(parallel)
-        assert serial_registry.counters_by_label(
-            EVENTS_METRIC, "type"
-        ) == parallel_registry.counters_by_label(EVENTS_METRIC, "type")
-        assert serial_registry.counter(
-            "repro_algo_joins_total", method="ex-minmax", engine="numpy"
-        ) == parallel_registry.counter(
-            "repro_algo_joins_total", method="ex-minmax", engine="numpy"
         )
 
     def test_disabled_engine_emits_nothing(self):

@@ -267,7 +267,7 @@ class TestServiceEndToEnd:
     def test_join_parity_with_direct_engine(self):
         communities = _fleet()
         b, a = communities[0], communities[1]
-        with BatchEngine([b, a], n_jobs=1) as engine:
+        with BatchEngine([b, a]) as engine:
             direct = engine.run(
                 [PairJob.build(0, 1, "ex-minmax", EPSILON)]
             )[0].result.to_dict()

@@ -17,6 +17,7 @@ import socket
 import numpy as np
 import pytest
 
+from repro.algorithms.minmax import ExMinMax
 from repro.analysis.sweeps import catalog_epsilon_sweep
 from repro.apps import top_k_pairs
 from repro.catalog import PersistentCatalog
@@ -366,6 +367,58 @@ class TestMidPhaseShardDeath:
             assert repr(score.similarity) == repr(exact[(score.name_b, score.name_a)])
 
 
+class TestRaisingJoin:
+    """One pair's refine (Ex-MinMax) join raises.
+
+    The engine has no fault handling of its own: in-process the error
+    reaches the caller, and in the fleet it becomes the owner shard's
+    ``internal`` response, which the coordinator reports as a lost pair
+    and never scores.
+    """
+
+    K = 20
+
+    @pytest.fixture
+    def raising_pair(self, monkeypatch):
+        fleet = small_fleet()
+        ranking = top_k_pairs(fleet, epsilon=EPSILON, k=10_000)
+        exact = {(score.name_b, score.name_a): score.similarity for score in ranking}
+        pair = (ranking[0].name_b, ranking[0].name_a)
+        join = ExMinMax.join
+
+        def failing_join(algorithm, first, second, **kwargs):
+            if {first.name, second.name} == set(pair):
+                raise RuntimeError("injected refine failure")
+            return join(algorithm, first, second, **kwargs)
+
+        monkeypatch.setattr(ExMinMax, "join", failing_join)
+        return fleet, pair, exact
+
+    def test_in_process_top_k_raises(self, raising_pair):
+        fleet, _, _ = raising_pair
+        with pytest.raises(RuntimeError, match="injected refine failure"):
+            top_k_pairs(fleet, epsilon=EPSILON, k=self.K)
+
+    def test_fleet_reports_the_pair_lost(self, raising_pair, tmp_path):
+        fleet, pair, exact = raising_pair
+        with make_catalog(tmp_path / "u.db", fleet) as catalog:
+            partition_catalog(catalog, tmp_path / "p", 2, epsilon=EPSILON)
+        with ShardFleet(tmp_path / "p") as shards:
+            owner = shards.plan.owner_of(*pair)
+            with shards.coordinator() as coordinator:
+                result = coordinator.top_k(
+                    epsilon=EPSILON, k=self.K, allow_partial=True
+                )
+                with pytest.raises(ShardUnavailableError):
+                    coordinator.top_k(epsilon=EPSILON, k=self.K)
+        assert result.missing == (owner,)
+        assert pair in result.lost_pairs
+        scored = {tuple(sorted((s.name_b, s.name_a))) for s in result.scores}
+        assert result.scores and not scored & set(result.lost_pairs)
+        for score in result.scores:
+            assert repr(score.similarity) == repr(exact[(score.name_b, score.name_a)])
+
+
 # ----------------------------------------------------------------------
 # caller mistakes are not outages
 # ----------------------------------------------------------------------
@@ -527,7 +580,7 @@ class TestFleetEndpoints:
             (c for c in fleet if c.name in set(band0)), key=lambda c: c.name
         )
         index_of = {c.name: i for i, c in enumerate(roster)}
-        with BatchEngine(roster, n_jobs=1) as engine:
+        with BatchEngine(roster) as engine:
             outcomes = engine.run(
                 [
                     PairJob.build(index_of[a], index_of[b], "ex-minmax", EPSILON)
