@@ -20,6 +20,7 @@ Every algorithm offers two engines:
 from __future__ import annotations
 
 import abc
+import copy
 import time
 
 import numpy as np
@@ -113,9 +114,10 @@ class CSJAlgorithm(abc.ABC):
                     auto_orient=auto_orient,
                     enforce_size_ratio=enforce_size_ratio,
                 )
+                kernel = self._bounded(community_b, community_a)
             started = time.perf_counter()
             with trace.stage("pairing"):
-                pairs = self._join(community_b.vectors, community_a.vectors, trace)
+                pairs = kernel._join(community_b, community_a, trace)
             elapsed = time.perf_counter() - started
         self.last_trace = trace
         if metrics is not None:
@@ -143,12 +145,33 @@ class CSJAlgorithm(abc.ABC):
     # ------------------------------------------------------------------
     # engine dispatch
     # ------------------------------------------------------------------
+    def _bounded(self, community_b: Community, community_a: Community) -> "CSJAlgorithm":
+        """This algorithm, or a copy whose epsilon is the pair's largest
+        counter + 1 where the caller's is larger.
+
+        Counters are non-negative, so any epsilon above the largest
+        counter admits every pair on every dimension: the copy pairs
+        exactly as ``self`` would, while every kernel's ``counter +
+        epsilon`` sums stay inside int64.  The result keeps the caller's
+        epsilon.
+        """
+        bound = 1 + max(int(community_b.vectors.max()), int(community_a.vectors.max()))
+        if self.epsilon <= bound:
+            return self
+        kernel = copy.copy(self)
+        kernel.epsilon = bound
+        return kernel
+
     def _join(
-        self, vectors_b: np.ndarray, vectors_a: np.ndarray, trace: EventTrace
+        self, community_b: Community, community_a: Community, trace: EventTrace
     ) -> list[tuple[int, int]]:
-        if self.engine == "python":
-            return self._join_python(vectors_b, vectors_a, trace)
-        return self._join_numpy(vectors_b, vectors_a, trace)
+        """Pair the oriented communities with the configured engine.
+
+        MinMax overrides this hook to hand its engines the memoised
+        encodings; every other method pairs the raw vectors.
+        """
+        engine = self._join_python if self.engine == "python" else self._join_numpy
+        return engine(community_b.vectors, community_a.vectors, trace)
 
     @abc.abstractmethod
     def _join_python(

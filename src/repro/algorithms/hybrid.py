@@ -65,25 +65,23 @@ class _HybridBase(CSJAlgorithm):
         encoder = MinMaxEncoder(
             self.epsilon, min(self.n_parts, vectors_b.shape[1])
         )
-        parts_b = encoder.part_sums(vectors_b)
-        encoded_id = parts_b.sum(axis=1)
-        lowered = np.maximum(vectors_a - self.epsilon, 0)
-        raised = vectors_a + self.epsilon
-        slices = encoder.part_slices(vectors_a.shape[1])
-        range_min = np.stack([lowered[:, sl].sum(axis=1) for sl in slices], axis=1)
-        range_max = np.stack([raised[:, sl].sum(axis=1) for sl in slices], axis=1)
-
+        targets = encoder.encode_targets(vectors_b)
+        candidates = encoder.encode_candidates(vectors_a)
+        # Buffer row k encodes original row real_ids[k], so argsort of
+        # real_ids gives each original row's buffer row.
+        at_b = np.argsort(targets.real_ids)[order_b]
+        at_a = np.argsort(candidates.real_ids)[order_a]
         return {
             "raw_b": vectors_b[order_b],
             "raw_a": vectors_a[order_a],
             "order_b": order_b,
             "order_a": order_a,
-            "encoded_id": encoded_id[order_b],
-            "parts_b": parts_b[order_b],
-            "range_min": range_min[order_a],
-            "range_max": range_max[order_a],
-            "encoded_min": range_min[order_a].sum(axis=1),
-            "encoded_max": range_max[order_a].sum(axis=1),
+            "encoded_id": targets.encoded_id[at_b],
+            "parts_b": targets.parts[at_b],
+            "range_min": candidates.range_min[at_a],
+            "range_max": candidates.range_max[at_a],
+            "encoded_min": candidates.encoded_min[at_a],
+            "encoded_max": candidates.encoded_max[at_a],
         }
 
     def _leaves(self, state: dict, trace: EventTrace) -> list[list[int]]:

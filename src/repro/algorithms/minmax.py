@@ -28,6 +28,10 @@ the cross-method tests assert this equality against Ex-Baseline.
 The numpy engines replace the double loop with one vectorised band pass
 per join (``_MinMaxBase._band``) that finds the same candidates in the
 same order, so both engines return identical matchings.
+
+Both buffers are fetched once per join, in ``_MinMaxBase._join``, from
+the memo on each community (:meth:`MinMaxEncoder.targets_of` and
+:meth:`MinMaxEncoder.candidates_of`), so the engines receive them ready.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from ..core.encoding import EncodedCandidates, EncodedTargets, MinMaxEncoder
 from ..core.errors import ConfigurationError
 from ..core.events import EventTrace, EventType
 from ..core.matching import build_adjacency, get_matcher, linf_match
+from ..core.types import Community
 from .base import CSJAlgorithm
 
 __all__ = ["ApMinMax", "ExMinMax"]
@@ -70,6 +75,18 @@ class _MinMaxBase(CSJAlgorithm):
         # the segmentation degrades gracefully to at most one part per
         # dimension.
         return MinMaxEncoder(self.epsilon, min(self.n_parts, n_dims))
+
+    def _join(
+        self, community_b: Community, community_a: Community, trace: EventTrace
+    ) -> list[tuple[int, int]]:
+        with trace.stage("encode"):
+            encoder = self._encoder(community_b.n_dims)
+            targets = encoder.targets_of(community_b)
+            candidates = encoder.candidates_of(community_a)
+        engine = self._join_python if self.engine == "python" else self._join_numpy
+        return engine(
+            targets, candidates, community_b.vectors, community_a.vectors, trace
+        )
 
     def _band(
         self,
@@ -137,13 +154,14 @@ class ApMinMax(_MinMaxBase):
     # ------------------------------------------------------------------
     # faithful reference engine
     # ------------------------------------------------------------------
-    def _join_python(
-        self, vectors_b: np.ndarray, vectors_a: np.ndarray, trace: EventTrace
+    def _join_python(  # type: ignore[override]
+        self,
+        targets: EncodedTargets,
+        candidates: EncodedCandidates,
+        vectors_b: np.ndarray,
+        vectors_a: np.ndarray,
+        trace: EventTrace,
     ) -> list[tuple[int, int]]:
-        with trace.stage("encode"):
-            encoder = self._encoder(vectors_b.shape[1])
-            targets = encoder.encode_targets(vectors_b)
-            candidates = encoder.encode_candidates(vectors_a)
         n_a = candidates.n_users
         used = np.zeros(n_a, dtype=bool)
         offset = 0
@@ -195,13 +213,14 @@ class ApMinMax(_MinMaxBase):
     # ------------------------------------------------------------------
     # vectorised engine (identical matching)
     # ------------------------------------------------------------------
-    def _join_numpy(
-        self, vectors_b: np.ndarray, vectors_a: np.ndarray, trace: EventTrace
+    def _join_numpy(  # type: ignore[override]
+        self,
+        targets: EncodedTargets,
+        candidates: EncodedCandidates,
+        vectors_b: np.ndarray,
+        vectors_a: np.ndarray,
+        trace: EventTrace,
     ) -> list[tuple[int, int]]:
-        with trace.stage("encode"):
-            encoder = self._encoder(vectors_b.shape[1])
-            targets = encoder.encode_targets(vectors_b)
-            candidates = encoder.encode_candidates(vectors_a)
         n_b, n_a = targets.n_users, candidates.n_users
         # Per b, the a position it took (n_a: none); per a, the b that
         # took it (n_b: still free).
@@ -272,13 +291,14 @@ class ExMinMax(_MinMaxBase):
     # ------------------------------------------------------------------
     # faithful reference engine
     # ------------------------------------------------------------------
-    def _join_python(
-        self, vectors_b: np.ndarray, vectors_a: np.ndarray, trace: EventTrace
+    def _join_python(  # type: ignore[override]
+        self,
+        targets: EncodedTargets,
+        candidates: EncodedCandidates,
+        vectors_b: np.ndarray,
+        vectors_a: np.ndarray,
+        trace: EventTrace,
     ) -> list[tuple[int, int]]:
-        with trace.stage("encode"):
-            encoder = self._encoder(vectors_b.shape[1])
-            targets = encoder.encode_targets(vectors_b)
-            candidates = encoder.encode_candidates(vectors_a)
         n_a = candidates.n_users
         matched_b: dict[int, set[int]] = {}
         matched_a: dict[int, set[int]] = {}
@@ -369,13 +389,14 @@ class ExMinMax(_MinMaxBase):
     # ------------------------------------------------------------------
     # vectorised engine (identical matching via one global CSF)
     # ------------------------------------------------------------------
-    def _join_numpy(
-        self, vectors_b: np.ndarray, vectors_a: np.ndarray, trace: EventTrace
+    def _join_numpy(  # type: ignore[override]
+        self,
+        targets: EncodedTargets,
+        candidates: EncodedCandidates,
+        vectors_b: np.ndarray,
+        vectors_a: np.ndarray,
+        trace: EventTrace,
     ) -> list[tuple[int, int]]:
-        with trace.stage("encode"):
-            encoder = self._encoder(vectors_b.shape[1])
-            targets = encoder.encode_targets(vectors_b)
-            candidates = encoder.encode_candidates(vectors_a)
         hits_b: list[np.ndarray] = []
         hits_a: list[np.ndarray] = []
         examined = 0

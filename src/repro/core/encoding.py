@@ -21,15 +21,23 @@ the corresponding part range of ``a``.  Both conditions are necessary
 
 Figure 1 shows the segmentation for ``d = 27`` with 4 parts as sizes
 ``6, 7, 7, 7``: the remainder dimensions go to the *last* parts.
+
+An encoding is per-community preprocessing: ``Encd_B`` depends only on
+the community and ``n_parts``, ``Encd_A`` also on epsilon.
+:meth:`MinMaxEncoder.targets_of` and :meth:`MinMaxEncoder.candidates_of`
+memoise them on the frozen :class:`~repro.core.types.Community`, one
+slot per role, so a community joined many times is encoded once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, TypeVar
 
 import numpy as np
 
 from .errors import ConfigurationError
+from .types import Community
 
 __all__ = [
     "split_dimensions",
@@ -37,6 +45,13 @@ __all__ = [
     "EncodedCandidates",
     "MinMaxEncoder",
 ]
+
+#: Instance attributes of the per-role memo slots on a ``Community``;
+#: each holds one ``(key, buffer)`` tuple.
+_TARGETS_SLOT = "_encd_b"
+_CANDIDATES_SLOT = "_encd_a"
+
+_Buffer = TypeVar("_Buffer", "EncodedTargets", "EncodedCandidates")
 
 
 def split_dimensions(n_dims: int, n_parts: int) -> list[slice]:
@@ -133,19 +148,20 @@ class MinMaxEncoder:
 
     def part_sums(self, vectors: np.ndarray) -> np.ndarray:
         """Per-part counter sums, shape ``(n, n_parts)``."""
-        slices = self.part_slices(vectors.shape[1])
-        columns = [vectors[:, sl].sum(axis=1) for sl in slices]
-        return np.stack(columns, axis=1).astype(np.int64)
+        matrix = np.asarray(vectors, dtype=np.int64)
+        starts = [part.start for part in self.part_slices(matrix.shape[1])]
+        return np.add.reduceat(matrix, starts, axis=1)
 
     def encode_targets(self, vectors: np.ndarray) -> EncodedTargets:
         """Build the sorted ``Encd_B`` buffer for community ``B``."""
         parts = self.part_sums(vectors)
         encoded_id = parts.sum(axis=1)
-        order = np.lexsort((np.arange(len(encoded_id)), encoded_id))
+        # A stable sort breaks ties by original index.
+        order = np.argsort(encoded_id, kind="stable").astype(np.int64, copy=False)
         return EncodedTargets(
-            encoded_id=encoded_id[order],
-            parts=parts[order],
-            real_ids=order.astype(np.int64),
+            encoded_id=encoded_id.take(order),
+            parts=parts.take(order, axis=0),
+            real_ids=order,
         )
 
     def encode_candidates(self, vectors: np.ndarray) -> EncodedCandidates:
@@ -155,26 +171,38 @@ class MinMaxEncoder:
         zero (counters are non-negative), exactly as in Figure 1 where
         value ``0`` with ``eps = 1`` yields the interval ``[0, 1]``.
         """
-        slices = self.part_slices(vectors.shape[1])
-        lowered = np.maximum(vectors - self.epsilon, 0)
-        raised = vectors + self.epsilon
-        range_min = np.stack(
-            [lowered[:, sl].sum(axis=1) for sl in slices], axis=1
-        ).astype(np.int64)
-        range_max = np.stack(
-            [raised[:, sl].sum(axis=1) for sl in slices], axis=1
-        ).astype(np.int64)
+        matrix = np.asarray(vectors, dtype=np.int64)
+        starts = [part.start for part in self.part_slices(matrix.shape[1])]
+        range_min = np.add.reduceat(np.maximum(matrix - self.epsilon, 0), starts, axis=1)
+        range_max = np.add.reduceat(matrix + self.epsilon, starts, axis=1)
         encoded_min = range_min.sum(axis=1)
         encoded_max = range_max.sum(axis=1)
-        order = np.lexsort(
-            (np.arange(len(encoded_min)), encoded_max, encoded_min)
-        )
+        # lexsort is stable, so full ties keep their original order.
+        order = np.lexsort((encoded_max, encoded_min)).astype(np.int64, copy=False)
         return EncodedCandidates(
-            encoded_min=encoded_min[order],
-            encoded_max=encoded_max[order],
-            range_min=range_min[order],
-            range_max=range_max[order],
-            real_ids=order.astype(np.int64),
+            encoded_min=encoded_min.take(order),
+            encoded_max=encoded_max.take(order),
+            range_min=range_min.take(order, axis=0),
+            range_max=range_max.take(order, axis=0),
+            real_ids=order,
+        )
+
+    def targets_of(self, community: Community) -> EncodedTargets:
+        """The ``Encd_B`` buffer of ``community``, memoised on it.
+
+        The memo slot holds one buffer, keyed by ``n_parts``; its arrays
+        are read-only because every join of the community shares them.
+        """
+        return _memoised(community, _TARGETS_SLOT, self.n_parts, self.encode_targets)
+
+    def candidates_of(self, community: Community) -> EncodedCandidates:
+        """The ``Encd_A`` buffer of ``community``, memoised like
+        :meth:`targets_of` but keyed by ``(n_parts, epsilon)``."""
+        return _memoised(
+            community,
+            _CANDIDATES_SLOT,
+            (self.n_parts, self.epsilon),
+            self.encode_candidates,
         )
 
     @staticmethod
@@ -211,3 +239,31 @@ class MinMaxEncoder:
             "encoded_min": int(candidates.encoded_min[0]),
             "encoded_max": int(candidates.encoded_max[0]),
         }
+
+
+def _memoised(
+    community: Community,
+    slot: str,
+    key: object,
+    encode: Callable[[np.ndarray], _Buffer],
+) -> _Buffer:
+    """The buffer held in ``community``'s memo ``slot`` under ``key``.
+
+    A miss encodes the vectors and replaces the slot with one attribute
+    store, so each role keeps at most one buffer and concurrent joins
+    need no lock: a reader sees the old or the new ``(key, buffer)``
+    tuple whole, and a buffer is only returned under its own key.  A
+    community's vectors are read-only from construction on, and
+    ``dataclasses.replace`` or :meth:`Community.subset` build a new
+    instance with empty slots.
+    """
+    held = community.__dict__.get(slot)
+    if held is not None and held[0] == key:
+        return held[1]
+    buffer = encode(community.vectors)
+    for array in vars(buffer).values():
+        array.setflags(write=False)
+    # Community is a frozen dataclass; the memo is not a field, so
+    # object.__setattr__ is the sanctioned back door.
+    object.__setattr__(community, slot, (key, buffer))
+    return buffer

@@ -1,9 +1,9 @@
 """repro.lint — AST-based invariant checker for the repro codebase.
 
 The reproduction's correctness rests on invariants that ordinary tests
-only probe at runtime: seeded-RNG discipline (RL001), process-pool
-worker picklability (RL002), event emission through the single sink so
-counters and metrics never drift (RL003), metric naming and label-set
+only probe at runtime: seeded-RNG discipline (RL001), event emission
+through the single sink so counters and metrics never drift (RL003),
+metric naming and label-set
 hygiene (RL004), no silently-swallowed errors (RL005), and parity
 between the public ``__all__`` and ``docs/api.md`` (RL006).  This
 package checks them statically — pure :mod:`ast`, no third-party

@@ -64,7 +64,6 @@ def rule_ids() -> Iterable[str]:
 # Importing the rule modules populates the registry as a side effect.
 from . import (  # noqa: E402  (registry must exist before rule modules)
     rl001_unseeded_rng,
-    rl002_worker_picklable,
     rl003_event_sink,
     rl004_metric_naming,
     rl005_error_handling,
@@ -78,7 +77,6 @@ from . import (  # noqa: E402  (registry must exist before rule modules)
 
 _ = (
     rl001_unseeded_rng,
-    rl002_worker_picklable,
     rl003_event_sink,
     rl004_metric_naming,
     rl005_error_handling,

@@ -21,13 +21,19 @@ from repro.testing import (
 )
 
 __all__ = [
+    "HUGE_EPSILONS",
     "assert_valid_matching",
     "banded_community_fleet",
     "brute_force_candidate_pairs",
     "maximum_matching_size",
     "random_couple",
     "random_counter_matrix",
+    "small_counter_couple",
 ]
+
+#: Epsilons at which ``counter + epsilon`` summed over a MinMax part
+#: wraps int64 (the first three) or epsilon itself leaves int64.
+HUGE_EPSILONS = (2**61, 2**62, 2**63 - 1, 2**63, 2**64)
 
 
 def random_couple(
@@ -35,6 +41,15 @@ def random_couple(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Structured random couple (wrapper around repro.testing)."""
     return random_counter_couple(seed, n_b=n_b, n_a=n_a, n_dims=d, high=high)
+
+
+def small_counter_couple() -> tuple[Community, Community]:
+    """A 20 x 6 / 30 x 6 pair with counters below 50."""
+    rng = np.random.default_rng(20)
+    return (
+        Community("B", rng.integers(0, 50, size=(20, 6))),
+        Community("A", rng.integers(0, 50, size=(30, 6))),
+    )
 
 
 @pytest.fixture

@@ -11,8 +11,15 @@ import numpy as np
 import pytest
 
 from repro import ALL_METHODS, csj_similarity
+from repro.algorithms import ENGINES
+from repro.algorithms.registry import ALGORITHMS, get_algorithm
 from repro.core.types import Community
-from tests.conftest import assert_valid_matching, maximum_matching_size
+from tests.conftest import (
+    HUGE_EPSILONS,
+    assert_valid_matching,
+    maximum_matching_size,
+    small_counter_couple,
+)
 
 
 class TestDegenerateShapes:
@@ -126,6 +133,18 @@ class TestMagnitudes:
         a = Community("A", np.maximum(vectors + rng.integers(-7500, 7501, size=vectors.shape), 0))
         result = csj_similarity(b, a, epsilon=15000, method="ex-minmax")
         assert result.similarity == 1.0
+
+    @pytest.mark.parametrize("epsilon", HUGE_EPSILONS)
+    def test_epsilon_beyond_int64_matches_everyone(self, epsilon):
+        # Any epsilon above the largest counter admits every pair, so all
+        # eight methods on both engines match all of B, and the result
+        # reports the caller's epsilon.
+        b, a = small_counter_couple()
+        for name in ALGORITHMS:
+            for engine in ENGINES:
+                result = get_algorithm(name, epsilon, engine=engine).join(b, a)
+                assert result.n_matched == b.n_users, (name, engine)
+                assert result.epsilon == epsilon
 
     @pytest.mark.parametrize("method", ALL_METHODS)
     def test_all_zero_vectors(self, method):

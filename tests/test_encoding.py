@@ -190,3 +190,66 @@ class TestNecessaryCondition:
             assert MinMaxEncoder.parts_overlap(
                 targets.parts[i], candidates.range_min[j], candidates.range_max[j]
             )
+
+
+def loop_encoding(vectors: np.ndarray, epsilon: int, n_parts: int):
+    """The encoding summed one part slice at a time and sorted with an
+    explicit index tie-break: the reference the encoder must match."""
+    slices = split_dimensions(vectors.shape[1], n_parts)
+
+    def sums(matrix):
+        return np.stack([matrix[:, sl].sum(axis=1) for sl in slices], axis=1).astype(
+            np.int64
+        )
+
+    rows = np.arange(len(vectors))
+    parts = sums(vectors)
+    encoded_id = parts.sum(axis=1)
+    order_b = np.lexsort((rows, encoded_id))
+    range_min = sums(np.maximum(vectors - epsilon, 0))
+    range_max = sums(vectors + epsilon)
+    encoded_min, encoded_max = range_min.sum(axis=1), range_max.sum(axis=1)
+    order_a = np.lexsort((rows, encoded_max, encoded_min))
+    targets = (encoded_id[order_b], parts[order_b], order_b.astype(np.int64))
+    candidates = (
+        encoded_min[order_a],
+        encoded_max[order_a],
+        range_min[order_a],
+        range_max[order_a],
+        order_a.astype(np.int64),
+    )
+    return targets, candidates
+
+
+class TestLoopParity:
+    """The reduceat encoder gives byte-identical buffers to the loop."""
+
+    @pytest.mark.parametrize(
+        "n_users, n_dims", [(16, 6), (60, 8), (437, 27), (2000, 27), (9, 1), (12, 2)]
+    )
+    def test_byte_identical_buffers(self, n_users, n_dims):
+        rng = np.random.default_rng(n_users * 31 + n_dims)
+        for high in (3, 40, 500_000):
+            vectors = rng.integers(0, high, size=(n_users, n_dims))
+            for epsilon in (0, 1, 2, 15, 15_000):
+                for n_parts in range(1, min(4, n_dims) + 1):
+                    encoder = MinMaxEncoder(epsilon, n_parts)
+                    targets = encoder.encode_targets(vectors)
+                    candidates = encoder.encode_candidates(vectors)
+                    got = (
+                        (targets.encoded_id, targets.parts, targets.real_ids),
+                        (
+                            candidates.encoded_min,
+                            candidates.encoded_max,
+                            candidates.range_min,
+                            candidates.range_max,
+                            candidates.real_ids,
+                        ),
+                    )
+                    for mine, reference in zip(
+                        got, loop_encoding(vectors, epsilon, n_parts)
+                    ):
+                        for array, expected in zip(mine, reference):
+                            assert array.dtype == expected.dtype
+                            assert array.shape == expected.shape
+                            assert array.tobytes() == expected.tobytes()

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from repro.algorithms import minmax
+from repro.algorithms import ENGINES, minmax
 from repro.algorithms.baseline import ApBaseline, ExBaseline
 from repro.algorithms.minmax import ApMinMax, ExMinMax
+from repro.core.encoding import MinMaxEncoder
 from repro.core.errors import ConfigurationError
 from repro.core.events import EventType
 from repro.core.matching import build_adjacency
@@ -280,3 +285,133 @@ class TestNumpyBandParity:
                     assert result.events == events
                     if cls is ExMinMax:
                         assert result.events.match == len(candidates)
+
+
+class TestEncodingMemo:
+    """Each community's ``Encd_B``/``Encd_A`` is encoded once per key and
+    shared by every MinMax join that needs it."""
+
+    @pytest.fixture
+    def encode_calls(self, monkeypatch):
+        calls = {"targets": 0, "candidates": 0}
+        encode_targets = MinMaxEncoder.encode_targets
+        encode_candidates = MinMaxEncoder.encode_candidates
+
+        def counted_targets(encoder, vectors):
+            calls["targets"] += 1
+            return encode_targets(encoder, vectors)
+
+        def counted_candidates(encoder, vectors):
+            calls["candidates"] += 1
+            return encode_candidates(encoder, vectors)
+
+        monkeypatch.setattr(MinMaxEncoder, "encode_targets", counted_targets)
+        monkeypatch.setattr(MinMaxEncoder, "encode_candidates", counted_candidates)
+        return calls
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_repeat_join_encodes_nothing(self, small_couple, encode_calls, engine):
+        b, a = small_couple
+        first = ExMinMax(1, engine=engine).join(b, a)
+        assert encode_calls == {"targets": 1, "candidates": 1}
+        second = ExMinMax(1, engine=engine).join(b, a)
+        assert encode_calls == {"targets": 1, "candidates": 1}
+        assert second.pair_tuples() == first.pair_tuples()
+        assert second.events == first.events
+
+    def test_ap_and_ex_share_buffers(self, small_couple, encode_calls):
+        b, a = small_couple
+        ApMinMax(1).join(b, a)
+        ExMinMax(1).join(b, a)
+        assert encode_calls == {"targets": 1, "candidates": 1}
+        ap, ex = ApMinMax(1)._encoder(b.n_dims), ExMinMax(1)._encoder(b.n_dims)
+        assert ap.targets_of(b) is ex.targets_of(b)
+        assert ap.candidates_of(a) is ex.candidates_of(a)
+
+    def test_alternating_keys_equal_fresh_communities(self, small_couple):
+        # Every setting evicts the previous one's buffers (one slot per
+        # role), and the self-join puts one community in both roles.
+        b, a = small_couple
+        settings = [(epsilon, n_parts) for epsilon in (0, 2, 1) for n_parts in (1, 4, 2)]
+        for epsilon, n_parts in settings + settings[::-1]:
+            for cls in (ApMinMax, ExMinMax):
+                algorithm = cls(epsilon, n_parts=n_parts)
+                for first, second in ((b, a), (b, b), (a, a)):
+                    shared = algorithm.join(first, second)
+                    fresh = algorithm.join(
+                        Community("B", first.vectors), Community("A", second.vectors)
+                    )
+                    assert shared.pair_tuples() == fresh.pair_tuples()
+                    assert shared.events == fresh.events
+
+    def test_copies_get_fresh_buffers(self, small_couple):
+        b, _ = small_couple
+        encoder = MinMaxEncoder(1, 3)
+        encoder.targets_of(b)
+        encoder.candidates_of(b)
+        for copy in (
+            dataclasses.replace(b, vectors=b.vectors[::-1] + 1),
+            b.subset([4, 0, 7, 3]),
+        ):
+            targets = encoder.targets_of(copy)
+            candidates = encoder.candidates_of(copy)
+            fresh_targets = encoder.encode_targets(copy.vectors)
+            fresh_candidates = encoder.encode_candidates(copy.vectors)
+            for field in dataclasses.fields(targets):
+                assert np.array_equal(
+                    getattr(targets, field.name), getattr(fresh_targets, field.name)
+                )
+            for field in dataclasses.fields(candidates):
+                assert np.array_equal(
+                    getattr(candidates, field.name),
+                    getattr(fresh_candidates, field.name),
+                )
+
+    def test_memoised_arrays_are_read_only(self, small_couple):
+        b, a = small_couple
+        encoder = MinMaxEncoder(1, 4)
+        for buffer in (encoder.targets_of(b), encoder.candidates_of(a)):
+            for field in dataclasses.fields(buffer):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(buffer, field.name)[0] = 0
+
+    def test_concurrent_joins_at_two_epsilons(self, small_couple):
+        b, a = small_couple
+        epsilons = (1, 2)
+        expected = {
+            (cls, epsilon): cls(epsilon).join(
+                Community("B", b.vectors), Community("A", a.vectors)
+            )
+            for cls in (ApMinMax, ExMinMax)
+            for epsilon in epsilons
+        }
+        rounds, n_threads = 20, 8
+        outcomes: list[tuple[type, int, list, EventCounts]] = []
+        errors: list[Exception] = []
+
+        def worker(index: int) -> None:
+            cls = (ApMinMax, ExMinMax)[index % 2]
+            try:
+                for round_ in range(rounds):
+                    epsilon = epsilons[(index + round_) % 2]
+                    result = cls(epsilon).join(b, a)
+                    outcomes.append((cls, epsilon, result.pair_tuples(), result.events))
+            except Exception as exc:  # reported by the main thread below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert len(outcomes) == rounds * n_threads
+        for cls, epsilon, pairs, events in outcomes:
+            assert pairs == expected[cls, epsilon].pair_tuples()
+            assert events == expected[cls, epsilon].events

@@ -15,6 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.algorithms.registry import ALGORITHMS
 from repro.apps import top_k_pairs
 from repro.cli import main as cli_main
 from repro.engine import BatchEngine, PairJob
@@ -38,6 +39,7 @@ from repro.serve import (
 from repro.serve.protocol import ProtocolError
 from repro.testing import banded_community_fleet
 from repro._version import __version__
+from tests.conftest import HUGE_EPSILONS, small_counter_couple
 
 pytestmark = pytest.mark.serve
 
@@ -238,6 +240,37 @@ class TestAdmission:
 # end-to-end service
 # ----------------------------------------------------------------------
 class TestServiceEndToEnd:
+    def test_epsilon_beyond_int64_matches_everyone(self):
+        b, a = small_counter_couple()
+        with ServerThread() as st:
+            with ServeClient(*st.address) as client:
+                client.register("B", b.vectors.tolist())
+                client.register("A", a.vectors.tolist())
+                for epsilon in HUGE_EPSILONS:
+                    for method in ALGORITHMS:
+                        result = client.join(
+                            "B", "A", epsilon=epsilon, method=method
+                        )["result"]
+                        assert len(result["pairs"]) == b.n_users, (epsilon, method)
+                        assert result["epsilon"] == epsilon
+
+    def test_record_like_gets_fresh_encodings(self):
+        # Each store version is a new frozen snapshot, so a mutation can
+        # never be joined through the previous version's MinMax buffers.
+        rows = [[1, 0, 2], [0, 3, 1], [2, 2, 0]]
+        with ServerThread() as st:
+            with ServeClient(*st.address) as client:
+                client.register("alpha", rows)
+                client.register("beta", rows)
+                for method in ("ap-minmax", "ex-minmax"):
+                    before = client.join("alpha", "beta", epsilon=1, method=method)
+                    assert len(before["result"]["pairs"]) == 3
+                client.record_like("alpha", 1, 0, 5)
+                for method in ("ap-minmax", "ex-minmax"):
+                    after = client.join("alpha", "beta", epsilon=1, method=method)
+                    assert after["first"]["version"] == 1
+                    assert len(after["result"]["pairs"]) == 2
+
     def test_register_join_mutate_join(self):
         with ServerThread() as st:
             host, port = st.address
