@@ -22,12 +22,13 @@ from __future__ import annotations
 import abc
 import copy
 import time
+from typing import Sequence
 
 import numpy as np
 
 from ..core.errors import ConfigurationError
 from ..core.events import EventTrace
-from ..core.types import Community, CSJResult, MatchedPair
+from ..core.types import Community, CSJResult, EventCounts, MatchedPair
 from ..core.validation import validate_epsilon, validate_pair
 
 __all__ = ["CSJAlgorithm", "ENGINES"]
@@ -120,23 +121,33 @@ class CSJAlgorithm(abc.ABC):
                 pairs = kernel._join(community_b, community_a, trace)
             elapsed = time.perf_counter() - started
         self.last_trace = trace
-        if metrics is not None:
-            metrics.inc("repro_algo_joins_total", 1, method=self.name, engine=self.engine)
-            metrics.observe("repro_algo_join_seconds", elapsed, method=self.name)
-        result = CSJResult(
-            method=self.name,
-            exact=self.exact,
-            size_b=community_b.n_users,
-            size_a=community_a.n_users,
-            epsilon=self.epsilon,
-            pairs=[MatchedPair(int(b), int(a)) for b, a in pairs],
-            events=trace.counts,
-            elapsed_seconds=elapsed,
-            engine=self.engine,
-            swapped=swapped,
-            stage_seconds=trace.stage_seconds,
+        return self._result(
+            community_b,
+            community_a,
+            swapped,
+            pairs,
+            trace.counts,
+            elapsed,
+            trace.stage_seconds,
         )
-        return result
+
+    def join_many(
+        self,
+        pairs: Sequence[tuple[Community, Community]],
+        *,
+        enforce_size_ratio: bool = True,
+    ) -> list[CSJResult]:
+        """Join every ``(first, second)`` of ``pairs``; results in input order.
+
+        Each result equals what ``join(first, second)`` returns, timings
+        aside.  Here it is a plain loop over :meth:`join`; the MinMax
+        numpy engines override it to pair the whole batch in one band
+        pass.
+        """
+        return [
+            self.join(first, second, enforce_size_ratio=enforce_size_ratio)
+            for first, second in pairs
+        ]
 
     def similarity(self, first: Community, second: Community, **kwargs: object) -> float:
         """Convenience wrapper returning only the Eq. (1) fraction."""
@@ -145,6 +156,37 @@ class CSJAlgorithm(abc.ABC):
     # ------------------------------------------------------------------
     # engine dispatch
     # ------------------------------------------------------------------
+    def _result(
+        self,
+        community_b: Community,
+        community_a: Community,
+        swapped: bool,
+        pairs: list[tuple[int, int]],
+        events: EventCounts,
+        elapsed: float,
+        stage_seconds: dict[str, float],
+    ) -> CSJResult:
+        """Package one oriented pair's matching, counting the join in
+        :attr:`metrics` when a registry is attached."""
+        if self.metrics is not None:
+            self.metrics.inc(
+                "repro_algo_joins_total", 1, method=self.name, engine=self.engine
+            )
+            self.metrics.observe("repro_algo_join_seconds", elapsed, method=self.name)
+        return CSJResult(
+            method=self.name,
+            exact=self.exact,
+            size_b=community_b.n_users,
+            size_a=community_a.n_users,
+            epsilon=self.epsilon,
+            pairs=[MatchedPair(int(b), int(a)) for b, a in pairs],
+            events=events,
+            elapsed_seconds=elapsed,
+            engine=self.engine,
+            swapped=swapped,
+            stage_seconds=stage_seconds,
+        )
+
     def _bounded(self, community_b: Community, community_a: Community) -> "CSJAlgorithm":
         """This algorithm, or a copy whose epsilon is the pair's largest
         counter + 1 where the caller's is larger.

@@ -215,8 +215,9 @@ def run_method_table(
 
     All couples are generated up front (dataset generation stays
     deterministic and serial), then every ``couple x method`` join runs
-    as one :class:`~repro.engine.BatchEngine` batch, in-process and one
-    join at a time, so each join's runtime is measured alone; ``cache``
+    on one :class:`~repro.engine.BatchEngine`, in-process and one job
+    per ``run`` call, so each join's runtime is measured alone rather
+    than as a share of a batch; ``cache``
     makes sweep-style repeated table runs (or overlapping tables) skip
     identical joins entirely.  With ``metrics`` the per-join telemetry
     records land on the returned run's ``telemetry`` list (and on each
@@ -261,7 +262,7 @@ def run_method_table(
         metrics=metrics,
         checkpoint=checkpoint,
     ) as batch_engine:
-        outcomes = batch_engine.run(jobs)
+        outcomes = [batch_engine.run([job])[0] for job in jobs]
         run.telemetry = list(batch_engine.telemetry)
     for index, (job, outcome) in enumerate(zip(jobs, outcomes)):
         run.rows[index // len(chosen_methods)].results[job.method] = outcome.result

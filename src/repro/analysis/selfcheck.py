@@ -16,7 +16,10 @@ Checks:
 6. normalised SuperEGO never beats the exact maximum;
 7. raw-mode Ex-SuperEGO agrees with Ex-Baseline;
 8. the MinMax encoding filters pass every brute-force match (on small
-   couples where the exhaustive check is affordable).
+   couples where the exhaustive check is affordable);
+9. one batch of Ap- or Ex-MinMax joins (``join_many``) over the couple,
+   its reverse and strided sub-couples gives every pair the result of a
+   separate join.
 """
 
 from __future__ import annotations
@@ -186,7 +189,50 @@ def run_selfcheck(
                 detail=f"skipped (|B|x|A| = {budget:,} above budget)",
             )
         )
+
+    # 9: a batch of MinMax joins equals separate joins, pair by pair.
+    batch = _sub_couples(community_b, community_a)
+    for method in ("ap-minmax", "ex-minmax"):
+        algorithm = get_algorithm(method, epsilon)
+        batched = algorithm.join_many(batch, enforce_size_ratio=False)
+        separate = [
+            algorithm.join(first, second, enforce_size_ratio=False)
+            for first, second in batch
+        ]
+        outcomes.append(
+            CheckOutcome(
+                name=f"{method}: a batch of joins equals separate joins",
+                passed=all(map(_same_matching, batched, separate)),
+                detail=f"{len(batch)} pairs",
+            )
+        )
     return SelfCheckReport(outcomes=outcomes, results=results)
+
+
+def _sub_couples(
+    community_b: Community, community_a: Community
+) -> list[tuple[Community, Community]]:
+    """The couple, its reverse and every ``step``-th user's sub-couple
+    for steps 2, 3 and 5: one batch of mixed sizes, both orders and
+    communities shared between pairs."""
+    couples = [(community_b, community_a), (community_a, community_b)]
+    for step in (2, 3, 5):
+        couples.append(
+            (
+                community_b.subset(np.arange(0, community_b.n_users, step)),
+                community_a.subset(np.arange(0, community_a.n_users, step)),
+            )
+        )
+    return couples
+
+
+def _same_matching(first: CSJResult, second: CSJResult) -> bool:
+    return (
+        first.pair_tuples() == second.pair_tuples()
+        and first.events == second.events
+        and first.swapped == second.swapped
+        and first.similarity == second.similarity
+    )
 
 
 def _encoding_complete(

@@ -71,8 +71,9 @@ def epsilon_sweep(
     exhibits; the interesting feature is *where* it saturates — the
     data's meaningful epsilon.
 
-    The joins run as one :class:`~repro.engine.BatchEngine` batch, so a
-    shared ``cache`` makes repeated sweeps over the same couple free.
+    The joins run in one :class:`~repro.engine.BatchEngine` ``run``
+    call (each epsilon is a join of its own), so a shared ``cache``
+    makes repeated sweeps over the same couple free.
     With ``metrics`` attached, the engine's per-join records are
     appended to ``telemetry`` (when given).  ``checkpoint`` makes
     finished joins durable, so a killed sweep resumes without
@@ -166,10 +167,11 @@ def scale_sweep(
 
     Each point rebuilds the couple at the given scale and times the
     method — a per-method generalisation of Table 11.  The joins of all
-    scales execute as one :class:`~repro.engine.BatchEngine` batch.
-    With ``metrics`` attached, the engine's per-join records are
-    appended to ``telemetry`` (when given).  ``checkpoint`` behaves as
-    in :func:`epsilon_sweep`.
+    scales run on one :class:`~repro.engine.BatchEngine`, one job per
+    ``run`` call, so each point times its join alone.  With ``metrics``
+    attached, the engine's per-join records are appended to
+    ``telemetry`` (when given).  ``checkpoint`` behaves as in
+    :func:`epsilon_sweep`.
     """
     if not scales:
         raise ConfigurationError("scale_sweep needs at least one scale")
@@ -187,7 +189,7 @@ def scale_sweep(
         metrics=metrics,
         checkpoint=checkpoint,
     ) as engine:
-        outcomes = engine.run(jobs)
+        outcomes = [engine.run([job])[0] for job in jobs]
         if telemetry is not None:
             telemetry.extend(engine.telemetry)
     return [

@@ -58,7 +58,10 @@ class Community:
         Human-readable page name (e.g. ``"Quick Recipes"``).
     vectors:
         Integer matrix of shape ``(n_users, n_dims)``; row ``i`` is the
-        aggregate per-category like counters of subscriber ``i``.
+        aggregate per-category like counters of subscriber ``i``.  The
+        community keeps its own read-only int64 copy unless the
+        conversion already made a new array, so the caller's array is
+        neither aliased nor frozen.
     category:
         The dominant category of the page (one of the 27 VK categories in
         the reproduction datasets).  Informational only.
@@ -73,6 +76,12 @@ class Community:
 
     def __post_init__(self) -> None:
         matrix = as_counter_matrix(self.vectors)
+        if matrix is self.vectors or not matrix.flags.owndata:
+            # The caller's array, or a view of memory someone else owns:
+            # keep a private copy, so no later write there can reach this
+            # community's vectors or its memoised envelope and encodings,
+            # and the caller's array stays writeable.
+            matrix = matrix.copy()
         matrix.setflags(write=False)
         object.__setattr__(self, "vectors", matrix)
 

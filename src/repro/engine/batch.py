@@ -12,9 +12,13 @@ gates, cheapest first:
    oriented pair's fingerprints plus ``(epsilon, method, options)``;
    hits resolve to ``CACHED`` outcomes.
 3. **Execution** — survivors run the actual join in-process, on the
-   calling thread, in job order.  A join that raises propagates to the
-   caller; the shard fleet turns that into an ``internal`` response its
-   coordinator re-routes or reports as lost.
+   calling thread.  The pending jobs of one ``run`` call that share
+   ``(method, epsilon, options)`` run as one batch, through one
+   :meth:`~repro.algorithms.base.CSJAlgorithm.join_many` call (the
+   MinMax numpy engines pair a whole batch in one band pass); outcomes
+   keep input order.  A join that raises propagates to the caller; the
+   shard fleet turns that into an ``internal`` response its coordinator
+   re-routes or reports as lost.
 
 Algorithm instances are built once per ``(method, epsilon, options)``
 configuration, never per pair.
@@ -195,21 +199,30 @@ class BatchEngine:
             self._fingerprints[index] = fingerprint
         return fingerprint
 
-    def _join(self, job: PairJob) -> CSJResult:
-        """Run one job's join on the calling thread."""
-        key = (job.method, job.epsilon, job.options)
-        algorithm = self._algorithms.get(key)
-        if algorithm is None:
-            algorithm = get_algorithm(
-                job.method, job.epsilon, **decoded_options(job.options)
+    def _execute(self, jobs: list[PairJob]) -> list[CSJResult]:
+        """Join ``jobs`` on the calling thread, one ``join_many`` call per
+        ``(method, epsilon, options)`` group; results in job order."""
+        groups: dict[tuple, list[int]] = {}
+        for index, job in enumerate(jobs):
+            groups.setdefault((job.method, job.epsilon, job.options), []).append(index)
+        results: list[CSJResult | None] = [None] * len(jobs)
+        for key, members in groups.items():
+            algorithm = self._algorithms.get(key)
+            if algorithm is None:
+                method, epsilon, options = key
+                algorithm = get_algorithm(method, epsilon, **decoded_options(options))
+                self._algorithms[key] = algorithm
+            algorithm.metrics = self.metrics
+            batch = algorithm.join_many(
+                [
+                    (self.communities[jobs[index].first], self.communities[jobs[index].second])
+                    for index in members
+                ],
+                enforce_size_ratio=self.enforce_size_ratio,
             )
-            self._algorithms[key] = algorithm
-        algorithm.metrics = self.metrics
-        return algorithm.join(
-            self.communities[job.first],
-            self.communities[job.second],
-            enforce_size_ratio=self.enforce_size_ratio,
-        )
+            for index, result in zip(members, batch):
+                results[index] = result
+        return results  # type: ignore[return-value]
 
     def _cache_key(self, job: PairJob) -> tuple[JoinKey, bool]:
         """Content key of the *oriented* pair plus the job's swap flag."""
@@ -251,7 +264,12 @@ class BatchEngine:
 
     # -- execution -----------------------------------------------------
     def run(self, jobs: Iterable[PairJob]) -> list[PairOutcome]:
-        """Resolve every job, preserving input order in the output."""
+        """Resolve every job, preserving input order in the output.
+
+        The computed jobs that share ``(method, epsilon, options)`` run
+        as one batch (see :meth:`_execute`); screening, the cache, the
+        checkpoint lines and the telemetry records stay per job.
+        """
         jobs = list(jobs)
         outcomes: list[PairOutcome | None] = [None] * len(jobs)
         pending: list[tuple[int, PairJob, JoinKey | None]] = []
@@ -297,7 +315,7 @@ class BatchEngine:
 
         if pending:
             with stage_timer(self.metrics, "batch.execute"):
-                results = [self._join(job) for _, job, _ in pending]
+                results = self._execute([job for _, job, _ in pending])
             for (position, job, key), result in zip(pending, results):
                 self.computed_count += 1
                 if self.cache is not None and key is not None:

@@ -24,9 +24,13 @@ from repro.analysis import (
     run_table1,
     speedup,
 )
+from repro.algorithms import minmax
+from repro.algorithms.base import CSJAlgorithm
+from repro.analysis.sweeps import scale_sweep
 from repro.core.errors import ConfigurationError
 from repro.core.types import CSJResult
-from repro.datasets import PAPER_COUPLES, SyntheticGenerator, VKGenerator
+from repro.datasets import PAPER_COUPLES, SyntheticGenerator, VKGenerator, build_couple
+from repro.engine import BatchEngine, PairJob
 
 TINY_SCALE = 1 / 2048
 
@@ -55,6 +59,58 @@ class TestTableConfiguration:
     def test_generator_factory(self):
         assert isinstance(make_generator("vk"), VKGenerator)
         assert isinstance(make_generator("synthetic"), SyntheticGenerator)
+
+
+class TestSingleJoinRuntimes:
+    """Tables 3-10 and the scale sweep report runtimes of single joins,
+    so they reach the batch entry with one pair per call."""
+
+    @pytest.fixture
+    def batch_sizes(self, monkeypatch):
+        sizes: list[int] = []
+        depth = [0]
+
+        def spying(original):
+            def spy(algorithm, pairs, **kwargs):
+                pairs = list(pairs)
+                if not depth[0]:
+                    sizes.append(len(pairs))
+                depth[0] += 1
+                try:
+                    return original(algorithm, pairs, **kwargs)
+                finally:
+                    depth[0] -= 1
+
+            return spy
+
+        for owner in (CSJAlgorithm, minmax._MinMaxBase):
+            monkeypatch.setattr(owner, "join_many", spying(owner.__dict__["join_many"]))
+        return sizes
+
+    def test_method_table_and_scale_sweep_join_one_pair_per_call(self, batch_sizes):
+        run = run_method_table(
+            4, scale=TINY_SCALE, couples=PAPER_COUPLES[:3], methods=("ex-minmax", "ex-baseline")
+        )
+        assert all(len(row.results) == 2 for row in run.rows)
+        assert batch_sizes == [1] * 6
+        batch_sizes.clear()
+        points = scale_sweep(
+            PAPER_COUPLES[0], VKGenerator(seed=7), scales=[1 / 2048, 1 / 1024, 1 / 512], epsilon=1
+        )
+        assert len(points) == 3
+        assert batch_sizes == [1] * 3
+
+    def test_a_run_of_one_method_is_one_batch(self, batch_sizes):
+        generator = VKGenerator(seed=7)
+        communities = [
+            community
+            for spec in PAPER_COUPLES[:3]
+            for community in build_couple(spec, generator, scale=TINY_SCALE)
+        ]
+        jobs = [PairJob.build(2 * row, 2 * row + 1, "ex-minmax", 1) for row in range(3)]
+        with BatchEngine(communities, screen=False) as engine:
+            engine.run(jobs)
+        assert batch_sizes == [3]
 
 
 class TestRunMethodTable:

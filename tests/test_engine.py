@@ -98,6 +98,81 @@ class TestBatchDeterminism:
         ]
 
 
+class TestGroupedExecution:
+    """One ``run`` joins each (method, epsilon, options) group of its
+    computed jobs in one ``join_many`` call, and every job keeps its own
+    outcome, checkpoint line and telemetry record."""
+
+    def test_mixed_dispositions_of_two_methods(self, tmp_path, monkeypatch):
+        fleet = banded_fleet(2, 3, users=10)
+        log = tmp_path / "joins.jsonl"
+        registry = MetricsRegistry()
+        calls: list[tuple[str, int]] = []
+        for name in ("ap-minmax", "ex-minmax"):
+            cls = type(get_algorithm(name, 2))
+            join_many = cls.join_many
+
+            def counted(algorithm, pairs, _join_many=join_many, **kwargs):
+                pairs = list(pairs)
+                calls.append((algorithm.name, len(pairs)))
+                return _join_many(algorithm, pairs, **kwargs)
+
+            monkeypatch.setattr(cls, "join_many", counted)
+        warm = [PairJob.build(0, 1, "ap-minmax", 2), PairJob.build(3, 4, "ex-minmax", 2)]
+        jobs = [
+            PairJob.build(0, 1, "ap-minmax", 2),  # cached
+            PairJob.build(0, 2, "ex-minmax", 2),
+            PairJob.build(0, 3, "ap-minmax", 2),  # screened: different bands
+            PairJob.build(2, 1, "ap-minmax", 2),
+            PairJob.build(3, 4, "ex-minmax", 2),  # cached
+            PairJob.build(5, 4, "ap-minmax", 2),
+            PairJob.build(1, 5, "ex-minmax", 2),  # screened
+            PairJob.build(4, 5, "ex-minmax", 2),
+            PairJob.build(3, 5, "ap-minmax", 2),
+        ]
+        with BatchEngine(fleet, cache=16, metrics=registry, checkpoint=log) as engine:
+            engine.run(warm)
+            calls.clear()
+            outcomes = engine.run(jobs)
+            records = engine.telemetry[len(warm) :]
+        assert [outcome.job for outcome in outcomes] == jobs
+        expected = [
+            "cached", "computed", "screened", "computed", "cached",
+            "computed", "screened", "computed", "computed",
+        ]
+        assert [outcome.disposition.value for outcome in outcomes] == expected
+        # One call per method, holding that method's computed jobs.
+        assert sorted(calls) == [("ap-minmax", 3), ("ex-minmax", 2)]
+        for outcome in outcomes:
+            job = outcome.job
+            alone = get_algorithm(job.method, job.epsilon).join(
+                fleet[job.first], fleet[job.second]
+            )
+            assert outcome.result.pair_tuples() == alone.pair_tuples()
+            assert outcome.result.swapped == alone.swapped
+            if outcome.disposition is not Disposition.SCREENED:
+                assert outcome.result.events == alone.events
+        # One checkpoint line per computed job of both runs.
+        lines = [json.loads(line) for line in log.read_text().splitlines()]
+        computed = warm + [
+            job for job, kind in zip(jobs, expected) if kind == "computed"
+        ]
+        assert len(lines) == len(computed)
+        resumed = BatchEngine(fleet, checkpoint=log)
+        assert resumed.resumed_count == len(computed)
+        resumed.close()
+        # One telemetry record per job, in input order.
+        assert [
+            (record.first, record.second, record.method, record.disposition)
+            for record in records
+        ] == [(job.first, job.second, job.method, kind) for job, kind in zip(jobs, expected)]
+        for record, outcome in zip(records, outcomes):
+            assert record.n_matched == outcome.result.n_matched
+            if record.disposition == "computed":
+                assert record.stage_seconds["join.pairing"] <= record.elapsed_seconds
+                assert "join.pairing.enumerate" in record.stage_seconds
+
+
 class TestEnvelopeScreen:
     def test_screened_pairs_have_zero_similarity_by_direct_join(self):
         fleet = banded_fleet()

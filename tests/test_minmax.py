@@ -13,12 +13,14 @@ from repro.algorithms import ENGINES, minmax
 from repro.algorithms.baseline import ApBaseline, ExBaseline
 from repro.algorithms.minmax import ApMinMax, ExMinMax
 from repro.core.encoding import MinMaxEncoder
-from repro.core.errors import ConfigurationError
+from repro.core.errors import ConfigurationError, SizeRatioError
 from repro.core.events import EventType
 from repro.core.matching import build_adjacency
 from repro.core.types import Community, EventCounts
 from tests.conftest import (
+    HUGE_EPSILONS,
     assert_valid_matching,
+    banded_community_fleet,
     brute_force_candidate_pairs,
     maximum_matching_size,
     random_couple,
@@ -285,6 +287,151 @@ class TestNumpyBandParity:
                     assert result.events == events
                     if cls is ExMinMax:
                         assert result.events.match == len(candidates)
+
+
+def _mixed_fleet(seed: int) -> list[Community]:
+    """Ten communities of 4-30 users: six with d = 6, four with d = 3."""
+    rng = np.random.default_rng(seed)
+    fleet = []
+    for index in range(10):
+        vectors_b, vectors_a = random_couple(
+            seed * 100 + index,
+            n_b=int(rng.integers(4, 16)),
+            n_a=int(rng.integers(16, 31)),
+            d=6 if index < 6 else 3,
+        )
+        fleet.append(Community(f"c{index}", (vectors_b, vectors_a)[index % 2]))
+    return fleet
+
+
+def _pairs_in_both_orders(fleet: list[Community]) -> list[tuple[Community, Community]]:
+    """Every same-``d`` pair of ``fleet`` in both orders, self-pairs
+    included, so each community appears in many pairs."""
+    return [
+        (first, second)
+        for first in fleet
+        for second in fleet
+        if first.n_dims == second.n_dims
+    ]
+
+
+def assert_batch_equals_separate_joins(cls, epsilon, pairs, **join_options):
+    batched = cls(epsilon).join_many(pairs, **join_options)
+    assert len(batched) == len(pairs)
+    for (first, second), result in zip(pairs, batched):
+        alone = cls(epsilon).join(first, second, **join_options)
+        assert result.pair_tuples() == alone.pair_tuples()
+        assert result.events == alone.events
+        assert result.swapped == alone.swapped
+        assert result.similarity == alone.similarity
+        assert (result.size_b, result.size_a) == (alone.size_b, alone.size_a)
+        assert result.epsilon == alone.epsilon == epsilon
+
+
+class TestBatchParity:
+    """Every pair of a ``join_many`` batch gets its separate join's result."""
+
+    @pytest.mark.parametrize("block_pairs", [None, 1, 7])
+    @pytest.mark.parametrize("epsilon", (0, 1, 2) + HUGE_EPSILONS)
+    @pytest.mark.parametrize("cls", [ApMinMax, ExMinMax])
+    def test_mixed_sizes_and_dimensions(self, monkeypatch, cls, epsilon, block_pairs):
+        if block_pairs is not None:
+            monkeypatch.setattr(minmax, "_BAND_BLOCK_PAIRS", block_pairs)
+        for seed in (1, 2):
+            pairs = _pairs_in_both_orders(_mixed_fleet(seed))
+            assert {first.n_dims for first, _ in pairs} == {3, 6}
+            assert_batch_equals_separate_joins(
+                cls, epsilon, pairs, enforce_size_ratio=False
+            )
+
+    @pytest.mark.parametrize("band_users", [1, 64])
+    @pytest.mark.parametrize("cls", [ApMinMax, ExMinMax])
+    def test_batch_split_into_several_bands(self, monkeypatch, cls, band_users):
+        monkeypatch.setattr(minmax, "_BAND_USERS", band_users)
+        pairs = _pairs_in_both_orders(_mixed_fleet(4))
+        assert_batch_equals_separate_joins(cls, 1, pairs, enforce_size_ratio=False)
+
+    @pytest.mark.parametrize("cls", [ApMinMax, ExMinMax])
+    def test_size_ratio_pairs_of_a_banded_fleet(self, cls):
+        fleet = banded_community_fleet(n_bands=3, per_band=4, users=12, dims=5, seed=8)
+        pairs = [
+            (first, second)
+            for index, first in enumerate(fleet)
+            for second in fleet[index + 1 :]
+        ]
+        pairs += [(second, first) for first, second in pairs[::3]]
+        assert_batch_equals_separate_joins(cls, 2, pairs)
+
+    @pytest.mark.parametrize("cls", [ApMinMax, ExMinMax])
+    def test_batch_with_no_band_survivor(self, cls):
+        low = Community("low", np.zeros((8, 4), dtype=np.int64))
+        high = Community("high", np.full((12, 4), 50, dtype=np.int64))
+        pairs = [(low, high), (high, low), (low, high)]
+        assert_batch_equals_separate_joins(cls, 1, pairs)
+        assert all(result.n_matched == 0 for result in cls(1).join_many(pairs))
+
+    @pytest.mark.parametrize("cls", [ApMinMax, ExMinMax])
+    def test_one_community_in_every_pair(self, cls):
+        vectors_b, vectors_a = random_couple(5, n_b=20, n_a=30)
+        hub = Community("hub", vectors_a)
+        others = [
+            Community(f"part{rows}", vectors_b[:rows]) for rows in (15, 18, 20)
+        ] + [Community("self", vectors_a)]
+        pairs = [(hub, other) for other in others] + [(other, hub) for other in others]
+        assert_batch_equals_separate_joins(cls, 1, pairs)
+
+    @pytest.mark.parametrize("cls", [ApMinMax, ExMinMax])
+    def test_value_ranges_wider_than_int64_together(self, cls):
+        # Each pair spans about 2**61 of encoded values, so the five
+        # pairs cannot all be shifted into one int64 range: the band
+        # splits them into runs.
+        rng = np.random.default_rng(4)
+        pairs = []
+        for index in range(5):
+            rows = rng.integers(0, 2, size=(10, 2)) * 2**60 + rng.integers(0, 3, size=(10, 2))
+            pairs.append((Community(f"b{index}", rows[:8]), Community(f"a{index}", rows)))
+        assert_batch_equals_separate_joins(cls, 1, pairs)
+
+    def test_batch_of_one_and_empty_batch(self, small_couple):
+        b, a = small_couple
+        for cls in (ApMinMax, ExMinMax):
+            assert_batch_equals_separate_joins(cls, 1, [(a, b)])
+            assert cls(1).join_many([]) == []
+
+    @pytest.mark.parametrize("cls", [ApMinMax, ExMinMax])
+    def test_python_engine_is_a_loop_over_join(self, cls):
+        pairs = _pairs_in_both_orders(_mixed_fleet(3))[:12]
+        batched = cls(1, engine="python").join_many(pairs, enforce_size_ratio=False)
+        for (first, second), result in zip(pairs, batched):
+            alone = cls(1, engine="python").join(first, second, enforce_size_ratio=False)
+            assert result.pair_tuples() == alone.pair_tuples()
+            assert result.events == alone.events
+            assert result.engine == "python"
+
+    def test_size_ratio_violation_raises_like_join(self):
+        fleet = _mixed_fleet(1)
+        small, large = fleet[0], Community("large", np.zeros((40, 6), dtype=np.int64))
+        with pytest.raises(SizeRatioError):
+            ExMinMax(1).join_many([(fleet[2], fleet[2]), (small, large)])
+
+    def test_shares_of_one_batch_sum_to_its_time(self):
+        from repro.obs import MetricsRegistry
+
+        pairs = _pairs_in_both_orders(_mixed_fleet(2))
+        algorithm = ApMinMax(1)
+        algorithm.metrics = MetricsRegistry()
+        results = algorithm.join_many(pairs, enforce_size_ratio=False)
+        total = sum(result.size_b + result.size_a for result in results)
+        pairing = sum(result.stage_seconds["join.pairing"] for result in results)
+        for result in results:
+            share = (result.size_b + result.size_a) / total
+            assert result.stage_seconds["join.pairing"] == pytest.approx(pairing * share)
+            for stage in ("encode", "enumerate", "matching"):
+                assert f"join.pairing.{stage}" in result.stage_seconds
+            assert result.stage_seconds["join.pairing"] <= result.elapsed_seconds
+        assert algorithm.metrics.counter(
+            "repro_algo_joins_total", method="ap-minmax", engine="numpy"
+        ) == len(pairs)
 
 
 class TestEncodingMemo:

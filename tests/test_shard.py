@@ -385,13 +385,23 @@ class TestRaisingJoin:
         exact = {(score.name_b, score.name_a): score.similarity for score in ranking}
         pair = (ranking[0].name_b, ranking[0].name_a)
         join = ExMinMax.join
+        join_many = ExMinMax.join_many
 
         def failing_join(algorithm, first, second, **kwargs):
             if {first.name, second.name} == set(pair):
                 raise RuntimeError("injected refine failure")
             return join(algorithm, first, second, **kwargs)
 
+        def failing_join_many(algorithm, pairs, **kwargs):
+            # The engine joins a batch through join_many, which calls
+            # join only for a batch of one.
+            pairs = list(pairs)
+            if any({first.name, second.name} == set(pair) for first, second in pairs):
+                raise RuntimeError("injected refine failure")
+            return join_many(algorithm, pairs, **kwargs)
+
         monkeypatch.setattr(ExMinMax, "join", failing_join)
+        monkeypatch.setattr(ExMinMax, "join_many", failing_join_many)
         return fleet, pair, exact
 
     def test_in_process_top_k_raises(self, raising_pair):

@@ -54,6 +54,34 @@ class TestCommunity:
         with pytest.raises(ValueError):
             community.vectors[0, 0] = 5
 
+    def test_vectors_do_not_alias_a_callers_array(self):
+        from repro.algorithms import ExMinMax
+
+        base = np.full((6, 3), 9, dtype=np.int64)
+        b = Community("B", base[:3])
+        a = Community("A", np.zeros((4, 3), dtype=np.int64))
+        assert ExMinMax(0).join(b, a).n_matched == 0
+        base[:3] = 0
+        # The community (and its memoised encodings) still holds the 9s
+        # it was built from; only a new community sees the write.
+        assert (b.vectors == 9).all()
+        assert ExMinMax(0).join(b, a).n_matched == 0
+        assert ExMinMax(0).join(Community("B", base[:3]), a).n_matched == 3
+
+    def test_callers_array_stays_writeable(self):
+        own = np.ones((3, 2), dtype=np.int64)
+        community = Community("C", own)
+        assert own.flags.writeable
+        own[0, 0] = 7
+        assert community.vectors[0, 0] == 1
+
+    def test_vectors_share_no_memory_with_the_input(self):
+        built = Community("x", [[1, 2], [3, 4]])
+        assert built.vectors.flags.owndata
+        rebuilt = Community("y", built.vectors)
+        assert not np.shares_memory(rebuilt.vectors, built.vectors)
+        assert not rebuilt.vectors.flags.writeable
+
     def test_subset(self):
         community = Community("x", np.arange(12).reshape(4, 3), category="Sport")
         subset = community.subset([0, 2])
