@@ -8,34 +8,42 @@ The paper's experimental conclusion ends with a claim it never builds:
     notably slower than the encoded nested loop join used in MinMax."
 
 This module implements exactly that combination so the claim can be
-evaluated: the divide-and-conquer skeleton and EGO-Strategy pruning of
-(raw, per-dimension) SuperEGO, with every leaf's nested loop replaced by
-the MinMax *encoded* join — the Figure 1 window and part/range filters,
-computed once globally and sliced per leaf.
+evaluated: raw SuperEGO (``use_normalized=False``: the divide-and-conquer
+walk and EGO-Strategy pruning on raw integers, with the true
+per-dimension condition, so no accuracy is lost) whose leaf cells must
+first pass the MinMax *encoded* screen — the Figure 1 window, then the
+part/range test, both encoded once per join — before the per-dimension
+test runs on them.
 
-Both variants are provided: ``ap-hybrid`` commits first-fit like
-Ap-MinMax, ``ex-hybrid`` collects all leaf candidates and runs one CSF
-(or Hopcroft–Karp) call, so its matching is identical to Ex-Baseline's.
-The hybrid operates on raw integers with the true per-dimension
-condition throughout — no normalisation, no accuracy loss.
+Both variants are provided: ``ap-hybrid`` runs Ap-SuperEGO's first fit
+over the leaf hits, ``ex-hybrid`` Ex-SuperEGO's one CSF (or
+Hopcroft–Karp) call, so its matching is identical to Ex-Baseline's.
+The encoded screen only rejects cells that cannot match, so each hybrid
+returns raw SuperEGO's pairs in the same order; the python engine is
+raw SuperEGO's recursion, the reference the numpy engine is tested
+against.  What the hybrid adds is its event accounting: MIN PRUNE per
+pruned node pair, NO OVERLAP per cell the screen rejects, MATCH / NO
+MATCH per cell it passes — in both variants.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 import numpy as np
 
 from ..core.encoding import MinMaxEncoder
 from ..core.errors import ConfigurationError
 from ..core.events import EventTrace, EventType
-from ..core.matching import build_adjacency, get_matcher
-from .base import CSJAlgorithm
-from .superego import ego_sort, ego_walk
+from ..core.matching import get_matcher
+from .minmax import parts_inside
+from .superego import ApSuperEGO, ExSuperEGO, _SuperEGOBase
 
 __all__ = ["ApHybrid", "ExHybrid"]
 
 
-class _HybridBase(CSJAlgorithm):
-    """SuperEGO recursion + MinMax-encoded leaves (raw integers)."""
+class _Hybrid(_SuperEGOBase):
+    """Raw SuperEGO whose leaf cells pass the MinMax screen first."""
 
     def __init__(
         self,
@@ -46,133 +54,97 @@ class _HybridBase(CSJAlgorithm):
         t: int = 64,
         n_parts: int = 4,
     ) -> None:
-        super().__init__(epsilon, engine=engine, record_trace=record_trace)
-        if t < 2:
-            raise ConfigurationError(f"threshold t must be >= 2, got {t}")
+        super().__init__(
+            epsilon, engine=engine, record_trace=record_trace, t=t, use_normalized=False
+        )
         if n_parts < 1:
             raise ConfigurationError(f"n_parts must be >= 1, got {n_parts}")
-        self.t = int(t)
         self.n_parts = int(n_parts)
 
-    # ------------------------------------------------------------------
-    def _prepare(self, vectors_b: np.ndarray, vectors_a: np.ndarray) -> dict:
-        """EGO-sort both sides and attach the global MinMax encoding.
+    # Both variants count each tested cell as MATCH or NO MATCH, where
+    # Ap-SuperEGO counts only its picks.
+    _count = _SuperEGOBase._count
 
-        The encoded arrays are computed once over the full inputs and
-        permuted into EGO order, so every leaf slices them for free.
-        """
-        order_b, order_a, _ = ego_sort(vectors_b, vectors_a, self.epsilon)
-        encoder = MinMaxEncoder(
-            self.epsilon, min(self.n_parts, vectors_b.shape[1])
-        )
+    def _prepare(self, vectors_b: np.ndarray, vectors_a: np.ndarray) -> dict:
+        """Raw SuperEGO's state plus both sides' MinMax encodings in EGO
+        order, the parts and ranges laid out by part."""
+        state = super()._prepare(vectors_b, vectors_a)
+        encoder = MinMaxEncoder(self.epsilon, min(self.n_parts, vectors_b.shape[1]))
         targets = encoder.encode_targets(vectors_b)
         candidates = encoder.encode_candidates(vectors_a)
-        # Buffer row k encodes original row real_ids[k], so argsort of
-        # real_ids gives each original row's buffer row.
-        at_b = np.argsort(targets.real_ids)[order_b]
-        at_a = np.argsort(candidates.real_ids)[order_a]
-        return {
-            "raw_b": vectors_b[order_b],
-            "raw_a": vectors_a[order_a],
-            "order_b": order_b,
-            "order_a": order_a,
-            "encoded_id": targets.encoded_id[at_b],
-            "parts_b": targets.parts[at_b],
-            "range_min": candidates.range_min[at_a],
-            "range_max": candidates.range_max[at_a],
-            "encoded_min": candidates.encoded_min[at_a],
-            "encoded_max": candidates.encoded_max[at_a],
-        }
-
-    def _leaves(self, state: dict, trace: EventTrace) -> list[list[int]]:
-        """Raw SuperEGO's surviving leaves, in its depth-first order."""
-        leaves, pruned = ego_walk(
-            state["raw_b"], state["raw_a"], self.t, self.epsilon, aggregate=False
+        # Buffer row k encodes input row real_ids[k], so argsort of
+        # real_ids gives each input row's buffer row.
+        at_b = np.argsort(targets.real_ids)[state["order_b"]]
+        at_a = np.argsort(candidates.real_ids)[state["order_a"]]
+        state.update(
+            encoded_id=targets.encoded_id[at_b],
+            parts=targets.parts[at_b].T.copy(),
+            encoded_min=candidates.encoded_min[at_a],
+            encoded_max=candidates.encoded_max[at_a],
+            range_min=candidates.range_min[at_a].T.copy(),
+            range_max=candidates.range_max[at_a].T.copy(),
         )
-        trace.emit_bulk(EventType.MIN_PRUNE, pruned)
-        return leaves.tolist()
+        return state
 
-    def _leaf_candidates(
-        self, state: dict, lo_b: int, hi_b: int, lo_a: int, hi_a: int,
-        trace: EventTrace,
-    ) -> list[tuple[int, int]]:
-        """The encoded nested loop join of one leaf rectangle.
+    def _collect(
+        self, vectors_b: np.ndarray, vectors_a: np.ndarray, trace: EventTrace
+    ) -> tuple[dict, np.ndarray, np.ndarray, int]:
+        """Raw SuperEGO's leaf hits, counting the screen's NO OVERLAP
+        events; the cells tested are those that passed the screen."""
+        state, hits_b, hits_a, _ = super()._collect(vectors_b, vectors_a, trace)
+        trace.emit_bulk(EventType.NO_OVERLAP, state["no_overlap"])
+        return state, hits_b, hits_a, state["tested"]
 
-        Applies the window test (encoded ID within [Min, Max]), then the
-        part/range overlap test, and only then the full d-dimensional
-        comparison — the MinMax pipeline, restricted to the leaf.
-        Returns EGO-order index pairs.
+    def _leaf_hits(
+        self, state: dict, leaves: np.ndarray
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Raw SuperEGO's leaf kernel behind :meth:`_screen`.
+
+        A leaf none of whose cells passes the window counts all of its
+        cells as NO OVERLAP; any other leaf counts its cells that pass
+        the window but fail the part/range test.
         """
-        encoded_id = state["encoded_id"][lo_b:hi_b]
-        encoded_min = state["encoded_min"][lo_a:hi_a]
-        encoded_max = state["encoded_max"][lo_a:hi_a]
-        window = (encoded_id[:, None] >= encoded_min[None, :]) & (
-            encoded_id[:, None] <= encoded_max[None, :]
+        cells = (leaves[:, 1] - leaves[:, 0]) * (leaves[:, 3] - leaves[:, 2])
+        state.update(
+            ends=np.cumsum(cells),
+            windowed=np.zeros(cells.size, dtype=bool),
+            no_overlap=0,
+            tested=0,
         )
-        if not window.any():
-            trace.emit_bulk(EventType.NO_OVERLAP, int(window.size))
-            return []
-        parts_b = state["parts_b"][lo_b:hi_b]
-        range_min = state["range_min"][lo_a:hi_a]
-        range_max = state["range_max"][lo_a:hi_a]
-        overlap = (
-            (parts_b[:, None, :] >= range_min[None, :, :])
-            & (parts_b[:, None, :] <= range_max[None, :, :])
-        ).all(axis=2)
-        survivors = window & overlap
-        trace.emit_bulk(EventType.NO_OVERLAP, int(window.sum() - survivors.sum()))
-        rows, cols = np.nonzero(survivors)
-        if rows.size == 0:
-            return []
-        rows += lo_b
-        cols += lo_a
-        full = (
-            np.abs(state["raw_b"][rows] - state["raw_a"][cols]) <= self.epsilon
-        ).all(axis=1)
-        matches = int(np.count_nonzero(full))
-        trace.emit_bulk(EventType.MATCH, matches)
-        trace.emit_bulk(EventType.NO_MATCH, rows.size - matches)
-        return list(zip(rows[full].tolist(), cols[full].tolist()))
+        yield from super()._leaf_hits(state, leaves)
+        state["no_overlap"] += int(cells[~state["windowed"]].sum())
 
-    # Engines share the implementation (the leaf filters are already
-    # vectorised; a pure-python replica would add nothing but time).
-    def _join_python(self, vectors_b, vectors_a, trace):
-        return self._join_common(vectors_b, vectors_a, trace)
-
-    def _join_numpy(self, vectors_b, vectors_a, trace):
-        return self._join_common(vectors_b, vectors_a, trace)
-
-    def _join_common(self, vectors_b, vectors_a, trace):
-        raise NotImplementedError
+    def _screen(
+        self, state: dict, base: int, b_pos: np.ndarray, a_pos: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The block's cells whose encoded ID lies in the window
+        ``[encoded_Min, encoded_Max]`` and whose every part lies in its
+        range; marks the leaves that hold a window-passing cell."""
+        encoded_id = state["encoded_id"][b_pos]
+        window = np.flatnonzero(
+            (encoded_id >= state["encoded_min"][a_pos])
+            & (encoded_id <= state["encoded_max"][a_pos])
+        )
+        leaf = np.searchsorted(state["ends"], base + window, side="right")
+        state["windowed"][leaf] = True
+        b_pos, a_pos = parts_inside(
+            state["parts"], state["range_min"], state["range_max"], b_pos[window], a_pos[window]
+        )
+        state["no_overlap"] += window.size - b_pos.size
+        state["tested"] += b_pos.size
+        return b_pos, a_pos
 
 
-class ApHybrid(_HybridBase):
-    """Approximate hybrid: first-fit greedy over encoded leaves."""
+class ApHybrid(_Hybrid, ApSuperEGO):
+    """Approximate hybrid: Ap-SuperEGO's first fit over encoded leaves."""
 
     name = "ap-hybrid"
-    exact = False
-
-    def _join_common(self, vectors_b, vectors_a, trace):
-        state = self._prepare(vectors_b, vectors_a)
-        used_b = np.zeros(len(vectors_b), dtype=bool)
-        used_a = np.zeros(len(vectors_a), dtype=bool)
-        pairs = []
-        for leaf in self._leaves(state, trace):
-            for i, j in self._leaf_candidates(state, *leaf, trace):
-                if used_b[i] or used_a[j]:
-                    continue
-                used_b[i] = True
-                used_a[j] = True
-                pairs.append((i, j))
-        order_b, order_a = state["order_b"], state["order_a"]
-        return [(int(order_b[i]), int(order_a[j])) for i, j in pairs]
 
 
-class ExHybrid(_HybridBase):
-    """Exact hybrid: collect all encoded-leaf candidates, one CSF call."""
+class ExHybrid(_Hybrid, ExSuperEGO):
+    """Exact hybrid: Ex-SuperEGO's one CSF call over encoded leaves."""
 
     name = "ex-hybrid"
-    exact = True
 
     def __init__(
         self,
@@ -185,26 +157,7 @@ class ExHybrid(_HybridBase):
         matcher: str = "csf",
     ) -> None:
         super().__init__(
-            epsilon,
-            engine=engine,
-            record_trace=record_trace,
-            t=t,
-            n_parts=n_parts,
+            epsilon, engine=engine, record_trace=record_trace, t=t, n_parts=n_parts
         )
         self.matcher_name = matcher
         self._matcher = get_matcher(matcher)
-
-    def _join_common(self, vectors_b, vectors_a, trace):
-        state = self._prepare(vectors_b, vectors_a)
-        pairs = [
-            pair
-            for leaf in self._leaves(state, trace)
-            for pair in self._leaf_candidates(state, *leaf, trace)
-        ]
-        order_b, order_a = state["order_b"], state["order_a"]
-        raw_pairs = [(int(order_b[i]), int(order_a[j])) for i, j in pairs]
-        if not raw_pairs:
-            return []
-        matched_b, matched_a = build_adjacency(raw_pairs)
-        trace.note(f"CSF over {len(raw_pairs)} candidate pairs")
-        return self._matcher(matched_b, matched_a)

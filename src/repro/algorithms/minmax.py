@@ -85,6 +85,23 @@ def _by_part(arrays: list[np.ndarray]) -> np.ndarray:
     return np.concatenate([array.T for array in arrays], axis=1)
 
 
+def parts_inside(
+    parts: np.ndarray,
+    range_min: np.ndarray,
+    range_max: np.ndarray,
+    b_pos: np.ndarray,
+    a_pos: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(b_pos, a_pos)`` cells each of whose part sums lies inside
+    its range, in order; the by-part ``(p, n)`` arrays are tested one
+    part at a time on the previous part's survivors."""
+    for part, low, high in zip(parts, range_min, range_max):
+        inside = part[b_pos]
+        inside = (inside >= low[a_pos]) & (inside <= high[a_pos])
+        b_pos, a_pos = b_pos[inside], a_pos[inside]
+    return b_pos, a_pos
+
+
 class _Band:
     """The oriented pairs of one batch laid end to end, and their band pass.
 
@@ -227,10 +244,7 @@ class _Band:
                 lo[start:stop] - (ends[start:stop] - rows - base), rows
             )
             start = stop
-            for part, low, high in zip(self.parts, self.range_min, self.range_max):
-                inside = part[b_pos]
-                inside = (inside >= low[a_pos]) & (inside <= high[a_pos])
-                b_pos, a_pos = b_pos[inside], a_pos[inside]
+            b_pos, a_pos = parts_inside(self.parts, self.range_min, self.range_max, b_pos, a_pos)
             if b_pos.size == 0:
                 continue
             diff = np.abs(self.vectors_a[self.a_rows[a_pos]] - self.vectors_b[self.b_rows[b_pos]])

@@ -210,12 +210,14 @@ def ego_walk(
 
 def _leaf_blocks(
     leaves: np.ndarray, block: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """The leaves' cells in (leaf, b, a) order, at most ``block`` at once.
 
     Each leaf row is one run of consecutive ``a``; runs wider than a
     block are cut, and consecutive runs are expanded into ``(b, a)``
-    cell positions in blocks of at most ``block`` cells.
+    cell positions in blocks of at most ``block`` cells.  Yields
+    ``(base, b_pos, a_pos)``: a block holds the cells numbered
+    ``base, base + 1, ...`` in that order over all leaves.
     """
     heights = leaves[:, 1] - leaves[:, 0]
     run_b = np.arange(heights.sum()) + np.repeat(
@@ -243,7 +245,7 @@ def _leaf_blocks(
             run_a[start:stop] - (ends[start:stop] - lengths - base), lengths
         )
         start = stop
-        yield b_pos, a_pos
+        yield base, b_pos, a_pos
 
 
 class _SuperEGOBase(CSJAlgorithm):
@@ -471,7 +473,8 @@ class _SuperEGOBase(CSJAlgorithm):
         columns_b = np.ascontiguousarray(raw_b[:, dims].T, dtype=dtype)
         columns_a = np.ascontiguousarray(raw_a[:, dims].T, dtype=dtype)
         values_b, values_a = state["values_b"], state["values_a"]
-        for b_pos, a_pos in _leaf_blocks(leaves, _LEAF_BLOCK_CELLS):
+        for base, b_pos, a_pos in _leaf_blocks(leaves, _LEAF_BLOCK_CELLS):
+            b_pos, a_pos = self._screen(state, base, b_pos, a_pos)
             for k, (column_b, column_a) in enumerate(zip(columns_b, columns_a)):
                 gap = column_b[b_pos]
                 gap -= column_a[a_pos]
@@ -488,6 +491,20 @@ class _SuperEGOBase(CSJAlgorithm):
                 b_pos, a_pos = b_pos[keep], a_pos[keep]
             if b_pos.size:
                 yield b_pos, a_pos
+
+    def _screen(
+        self, state: dict, base: int, b_pos: np.ndarray, a_pos: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The cells of one leaf block that may meet the join condition:
+        all of them.  The hybrid rejects cells on its MinMax encoding
+        here; ``base`` numbers the block's first cell."""
+        return b_pos, a_pos
+
+    def _count(self, trace: EventTrace, tested: int, hits: int, picks: int) -> None:
+        """The numpy engine's events: each tested cell is one MATCH or
+        one NO MATCH, as in the recursion's leaves."""
+        trace.emit_bulk(EventType.MATCH, hits)
+        trace.emit_bulk(EventType.NO_MATCH, tested - hits)
 
     def _verify_pairs(
         self,
@@ -556,7 +573,7 @@ class ApSuperEGO(_SuperEGOBase):
     def _join_numpy(
         self, vectors_b: np.ndarray, vectors_a: np.ndarray, trace: EventTrace
     ) -> list[tuple[int, int]]:
-        state, hits_b, hits_a, _ = self._collect(vectors_b, vectors_a, trace)
+        state, hits_b, hits_a, cells = self._collect(vectors_b, vectors_a, trace)
         with trace.stage("matching"):
             # First fit over the hits in the order the recursion tests
             # them: a b takes its first hit whose a is still free.
@@ -568,8 +585,14 @@ class ApSuperEGO(_SuperEGOBase):
                     continue
                 used_b[i] = used_a[j] = 1
                 pairs.append((i, j))
-            trace.emit_bulk(EventType.MATCH, len(pairs))
+            self._count(trace, cells, hits_b.size, len(pairs))
             return self._finish(state, pairs, vectors_b, vectors_a)
+
+    def _count(self, trace: EventTrace, tested: int, hits: int, picks: int) -> None:
+        """Each pick is one MATCH, as in the recursion; which cells a
+        ``b`` tests before its pick is not tracked, so NO MATCH is not
+        counted."""
+        trace.emit_bulk(EventType.MATCH, picks)
 
     def _finish(
         self,
@@ -645,8 +668,6 @@ class ExSuperEGO(_SuperEGOBase):
         self, vectors_b: np.ndarray, vectors_a: np.ndarray, trace: EventTrace
     ) -> list[tuple[int, int]]:
         state, hits_b, hits_a, cells = self._collect(vectors_b, vectors_a, trace)
-        trace.emit_bulk(EventType.MATCH, hits_b.size)
-        trace.emit_bulk(EventType.NO_MATCH, cells - hits_b.size)
         with trace.stage("matching"):
             raw_pairs = list(
                 zip(
@@ -654,7 +675,9 @@ class ExSuperEGO(_SuperEGOBase):
                     state["order_a"][hits_a].tolist(),
                 )
             )
-            return self._cover(raw_pairs, vectors_b, vectors_a, trace)
+            pairs = self._cover(raw_pairs, vectors_b, vectors_a, trace)
+        self._count(trace, cells, hits_b.size, len(pairs))
+        return pairs
 
     def _cover(
         self,

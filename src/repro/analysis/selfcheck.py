@@ -8,8 +8,10 @@ one call (CLI: ``repro-csj doctor``).
 
 Checks:
 
-1. every method returns a one-to-one matching of valid pairs;
-2. the two engines of every method return the same matching;
+1. every method, the two hybrids included, returns a one-to-one
+   matching of valid pairs;
+2. the two engines of every method return the same matching (a
+   hybrid's python engine is raw SuperEGO's recursion);
 3. Ex-Baseline and Ex-MinMax agree exactly (segmented CSF == global CSF);
 4. Hopcroft–Karp never returns fewer pairs than CSF;
 5. no approximate method beats the exact maximum;
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..algorithms import ALL_METHODS, get_algorithm
+from ..algorithms import ALL_METHODS, HYBRID_METHODS, get_algorithm
 from ..core.encoding import MinMaxEncoder
 from ..core.types import Community, CSJResult
 
@@ -95,7 +97,7 @@ def run_selfcheck(
     results: dict[str, CSJResult] = {}
 
     # 1 + 2: validity and engine agreement per method.
-    for method in ALL_METHODS:
+    for method in ALL_METHODS + HYBRID_METHODS:
         numpy_result = get_algorithm(method, epsilon, engine="numpy").join(
             community_b, community_a
         )
@@ -163,11 +165,10 @@ def run_selfcheck(
     )
 
     # 7b: the Section 6.2 hybrid equals the exact baseline too.
-    hybrid = get_algorithm("ex-hybrid", epsilon).join(community_b, community_a)
     outcomes.append(
         CheckOutcome(
             name="ex-hybrid (MinMax-SuperEGO) == ex-baseline",
-            passed=set(hybrid.pair_tuples())
+            passed=set(results["ex-hybrid"].pair_tuples())
             == set(results["ex-baseline"].pair_tuples()),
         )
     )

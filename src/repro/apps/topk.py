@@ -36,10 +36,10 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from ..algorithms import ALGORITHMS, get_algorithm
+from ..algorithms import get_algorithm
 from ..catalog import PersistentCatalog
 from ..core.errors import ConfigurationError, DimensionMismatchError
-from ..core.types import Community, CSJResult, EventCounts
+from ..core.types import Community, CSJResult
 from ..core.validation import validate_epsilon
 from ..engine import (
     BatchEngine,
@@ -48,7 +48,7 @@ from ..engine import (
     PairJob,
     canonical_options,
 )
-from ..engine.batch import SCREEN_ENGINE
+from ..engine.batch import screened_result
 from ..engine.envelope import community_envelope, stack_envelopes, surviving_pairs
 from ..obs import JoinTelemetry, MetricsRegistry
 
@@ -331,30 +331,13 @@ def _zero_score(
     method: str,
     epsilon: int,
 ) -> PairScore:
-    """The similarity-0 score of a pair the envelopes ruled out.
-
-    Built from the pair's names and sizes alone, it mirrors the
-    engine's screened-result convention exactly (method name,
-    exactness, orientation, the ``envelope-screen`` engine label) so
-    rankings mixing computed and screened pairs sort identically
-    whichever source produced them.
-    """
-    algorithm_cls = ALGORITHMS[method.strip().lower()]
+    """The similarity-0 score of a pair the envelopes ruled out, built
+    from the pair's names and sizes alone (see :func:`screened_result`)."""
     swapped = sizes[0] > sizes[1]
-    b, a = (1, 0) if swapped else (0, 1)
-    result = CSJResult(
-        method=algorithm_cls.name,
-        exact=algorithm_cls.exact,
-        size_b=sizes[b],
-        size_a=sizes[a],
-        epsilon=int(epsilon),
-        pairs=[],
-        events=EventCounts(),
-        elapsed_seconds=0.0,
-        engine=SCREEN_ENGINE,
-        swapped=swapped,
+    name_b, name_a = names[::-1] if swapped else names
+    return PairScore(
+        name_b, name_a, 0.0, screened_result(method, epsilon, sizes, swapped)
     )
-    return PairScore(names[b], names[a], 0.0, result)
 
 
 def top_k_pairs_reference(

@@ -49,6 +49,29 @@ __all__ = ["Disposition", "PairJob", "PairOutcome", "BatchEngine"]
 SCREEN_ENGINE = "envelope-screen"
 
 
+def screened_result(
+    method: str, epsilon: int, sizes: tuple[int, int], swapped: bool
+) -> CSJResult:
+    """The similarity-0 result of a pair the envelopes ruled out, from
+    its user counts in the caller's order and whether that order is
+    reversed to ``(B, A)``.  Every source of screened pairs builds it
+    here, so rankings mixing computed and screened pairs sort alike."""
+    algorithm_cls = ALGORITHMS[method.strip().lower()]
+    size_b, size_a = sizes[::-1] if swapped else sizes
+    return CSJResult(
+        method=algorithm_cls.name,
+        exact=algorithm_cls.exact,
+        size_b=size_b,
+        size_a=size_a,
+        epsilon=int(epsilon),
+        pairs=[],
+        events=EventCounts(),
+        elapsed_seconds=0.0,
+        engine=SCREEN_ENGINE,
+        swapped=swapped,
+    )
+
+
 class Disposition(enum.Enum):
     """How the engine resolved one job."""
 
@@ -243,25 +266,6 @@ class BatchEngine:
         )
         return key, swapped
 
-    def _screened_result(self, job: PairJob, swapped: bool) -> CSJResult:
-        """A similarity-0 result for a pair the envelopes ruled out."""
-        oriented = (job.second, job.first) if swapped else (job.first, job.second)
-        community_b = self.communities[oriented[0]]
-        community_a = self.communities[oriented[1]]
-        algorithm_cls = ALGORITHMS[job.method.strip().lower()]
-        return CSJResult(
-            method=algorithm_cls.name,
-            exact=algorithm_cls.exact,
-            size_b=community_b.n_users,
-            size_a=community_a.n_users,
-            epsilon=job.epsilon,
-            pairs=[],
-            events=EventCounts(),
-            elapsed_seconds=0.0,
-            engine=SCREEN_ENGINE,
-            swapped=swapped,
-        )
-
     # -- execution -----------------------------------------------------
     def run(self, jobs: Iterable[PairJob]) -> list[PairOutcome]:
         """Resolve every job, preserving input order in the output.
@@ -295,7 +299,12 @@ class BatchEngine:
                         outcomes[position] = PairOutcome(
                             job,
                             Disposition.SCREENED,
-                            self._screened_result(job, swapped),
+                            screened_result(
+                                job.method,
+                                job.epsilon,
+                                (first.n_users, second.n_users),
+                                swapped,
+                            ),
                         )
                         continue
                 key: JoinKey | None = None

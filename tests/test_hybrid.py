@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from repro import csj_similarity
+from repro.algorithms import superego
 from repro.algorithms.hybrid import ApHybrid, ExHybrid
+from repro.algorithms.superego import ApSuperEGO, ExSuperEGO
 from repro.core.errors import ConfigurationError
 from repro.core.types import Community
 from tests.conftest import (
@@ -18,6 +20,11 @@ from tests.conftest import (
     maximum_matching_size,
     random_couple,
 )
+from tests.test_superego import _paper_couples, _python_join
+
+#: Leaf-block caps: the default, and caps that split leaves across
+#: blocks (the NO OVERLAP rule is per leaf).
+BLOCKS = [None, 1, 7]
 
 
 def couple(seed: int) -> tuple[Community, Community]:
@@ -108,6 +115,36 @@ class TestApHybrid:
         assert ApHybrid(1).exact is False
 
 
+class TestRawSuperEGOParity:
+    """The encoded screen only drops cells that cannot match, so each
+    hybrid returns raw SuperEGO's pairs, in order, whatever the block
+    size; the python engine (raw SuperEGO's recursion) is the oracle."""
+
+    VARIANTS = [(ApHybrid, ApSuperEGO), (ExHybrid, ExSuperEGO)]
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    @pytest.mark.parametrize("t", [2, 3, 64])
+    def test_paper_couples(self, monkeypatch, t, block):
+        if block is not None:
+            monkeypatch.setattr(superego, "_LEAF_BLOCK_CELLS", block)
+        for index, (first, second) in enumerate(_paper_couples()):
+            for hybrid, raw in self.VARIANTS:
+                python = _python_join(raw, index, t, False)
+                numpy_ = hybrid(1, t=t).join(first, second)
+                assert numpy_.pair_tuples() == python.pair_tuples()
+                assert numpy_.events.min_prune == python.events.min_prune
+                if hybrid.exact:
+                    assert numpy_.events.match == python.events.match
+
+    @pytest.mark.parametrize("hybrid, raw", VARIANTS, ids=["ap", "ex"])
+    def test_python_engine_is_raw_superego(self, hybrid, raw):
+        first, second = _paper_couples()[0]
+        python = hybrid(1, engine="python", t=3).join(first, second)
+        expected = _python_join(raw, 0, 3, False)
+        assert python.pair_tuples() == expected.pair_tuples()
+        assert python.events == expected.events
+
+
 class TestHybridSpeedClaim:
     def test_fewer_full_comparisons_than_raw_superego_leaves(self):
         # The Section 6.2 claim: the encoded leaf join runs fewer full
@@ -127,9 +164,10 @@ class TestHybridSpeedClaim:
 
 
 class TestPinnedResults:
-    """The hybrid has no python oracle, so its pairs and event counts on
-    two seeded VK couples are pinned: the values the per-leaf recursion
-    produced before the shared level-by-level walk replaced it."""
+    """The hybrid's pairs and event counts on two seeded VK couples are
+    pinned: the values the per-leaf recursion produced before the shared
+    level-by-level walk replaced it.  Small leaf blocks split a leaf
+    across blocks, which its NO OVERLAP count must not notice."""
 
     # (couple, t, class, matched, min_prune, no_overlap, no_match, match,
     #  sha256 prefix of the JSON pair list)
@@ -145,14 +183,32 @@ class TestPinnedResults:
     ]
 
     @pytest.mark.parametrize(
-        "couple, t, cls, matched, min_prune, no_overlap, no_match, match, digest",
-        PINNED,
-        ids=[f"{row[2].name}-{row[0]}-t{row[1]}" for row in PINNED],
+        "couple, t, cls, matched, min_prune, no_overlap, no_match, match, digest, block",
+        [(*row, block) for row in PINNED for block in BLOCKS],
+        ids=[
+            f"{row[2].name}-{row[0]}-t{row[1]}" + ("" if block is None else f"-block{block}")
+            for row in PINNED
+            for block in BLOCKS
+        ],
     )
     def test_pairs_and_events(
-        self, couple, t, cls, matched, min_prune, no_overlap, no_match, match, digest
+        self,
+        monkeypatch,
+        couple,
+        t,
+        cls,
+        matched,
+        min_prune,
+        no_overlap,
+        no_match,
+        match,
+        digest,
+        block,
     ):
         from repro.datasets import PAPER_COUPLES, VKGenerator, build_couple
+
+        if block is not None:
+            monkeypatch.setattr(superego, "_LEAF_BLOCK_CELLS", block)
 
         b, a = build_couple(PAPER_COUPLES[couple], VKGenerator(seed=11), scale=1 / 256)
         result = cls(1, t=t).join(b, a)

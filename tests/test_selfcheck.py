@@ -31,6 +31,8 @@ class TestRunSelfCheck:
             "ex-baseline",
             "ex-minmax",
             "ex-superego",
+            "ap-hybrid",
+            "ex-hybrid",
         }
 
     def test_check_names_cover_the_battery(self, report):

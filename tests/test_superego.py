@@ -9,6 +9,7 @@ import pytest
 
 from repro.algorithms import superego
 from repro.algorithms.baseline import ExBaseline
+from repro.algorithms.hybrid import ApHybrid, ExHybrid
 from repro.algorithms.superego import (
     ApSuperEGO,
     ExSuperEGO,
@@ -209,7 +210,7 @@ class TestEventsMetricParity:
         for field in ("min_prune", "max_prune", "no_overlap", "no_match", "match"):
             assert mirrored.get(field, 0) == getattr(result.events, field), field
 
-    @pytest.mark.parametrize("cls", [ApSuperEGO, ExSuperEGO])
+    @pytest.mark.parametrize("cls", [ApSuperEGO, ExSuperEGO, ApHybrid, ExHybrid])
     def test_numpy_engine_times_its_stages(self, cls):
         from repro.obs.registry import MetricsRegistry
 
