@@ -21,10 +21,11 @@ from ..core.errors import ConfigurationError
 from ..core.events import EventTrace, EventType
 from ..core.matching import (
     build_adjacency,
-    enumerate_candidate_pairs,
+    candidate_edges,
     get_matcher,
     linf_match,
     linf_match_mask,
+    match_edges,
 )
 from .base import CSJAlgorithm
 
@@ -133,18 +134,20 @@ class ExBaseline(CSJAlgorithm):
         self, vectors_b: np.ndarray, vectors_a: np.ndarray, trace: EventTrace
     ) -> list[tuple[int, int]]:
         with trace.stage("enumerate"):
-            raw_pairs = enumerate_candidate_pairs(
+            rows_b, rows_a = candidate_edges(
                 vectors_b,
                 vectors_a,
                 self.epsilon,
                 block_size=self.block_size,
                 metrics=trace.metrics,
             )
-        trace.emit_bulk(EventType.MATCH, len(raw_pairs))
-        trace.emit_bulk(
-            EventType.NO_MATCH, len(vectors_b) * len(vectors_a) - len(raw_pairs)
-        )
-        return self._select(raw_pairs, trace)
+        trace.emit_bulk(EventType.MATCH, rows_b.size)
+        trace.emit_bulk(EventType.NO_MATCH, len(vectors_b) * len(vectors_a) - rows_b.size)
+        if not rows_b.size:
+            return []
+        with trace.stage("matching"):
+            picked_b, picked_a = match_edges(rows_b, rows_a, self.matcher_name)
+            return list(zip(picked_b.tolist(), picked_a.tolist()))
 
     def _select(
         self, raw_pairs: list[tuple[int, int]], trace: EventTrace

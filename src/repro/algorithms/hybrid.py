@@ -12,8 +12,8 @@ evaluated: raw SuperEGO (``use_normalized=False``: the divide-and-conquer
 walk and EGO-Strategy pruning on raw integers, with the true
 per-dimension condition, so no accuracy is lost) whose leaf cells must
 first pass the MinMax *encoded* screen — the Figure 1 window, then the
-part/range test, both encoded once per join — before the per-dimension
-test runs on them.
+part/range test, on the ``Encd_B``/``Encd_A`` buffers MinMax memoises
+on each community — before the per-dimension test runs on them.
 
 Both variants are provided: ``ap-hybrid`` runs Ap-SuperEGO's first fit
 over the leaf hits, ``ex-hybrid`` Ex-SuperEGO's one CSF (or
@@ -36,6 +36,7 @@ from ..core.encoding import MinMaxEncoder
 from ..core.errors import ConfigurationError
 from ..core.events import EventTrace, EventType
 from ..core.matching import get_matcher
+from ..core.types import Community
 from .minmax import parts_inside
 from .superego import ApSuperEGO, ExSuperEGO, _SuperEGOBase
 
@@ -65,13 +66,14 @@ class _Hybrid(_SuperEGOBase):
     # Ap-SuperEGO counts only its picks.
     _count = _SuperEGOBase._count
 
-    def _prepare(self, vectors_b: np.ndarray, vectors_a: np.ndarray) -> dict:
-        """Raw SuperEGO's state plus both sides' MinMax encodings in EGO
-        order, the parts and ranges laid out by part."""
-        state = super()._prepare(vectors_b, vectors_a)
-        encoder = MinMaxEncoder(self.epsilon, min(self.n_parts, vectors_b.shape[1]))
-        targets = encoder.encode_targets(vectors_b)
-        candidates = encoder.encode_candidates(vectors_a)
+    def _encode(self, community_b: Community, community_a: Community) -> dict:
+        """Raw SuperEGO's state plus both sides' MinMax buffers, read from
+        the memo on each community as MinMax reads them, in EGO order,
+        the parts and ranges laid out by part."""
+        state = super()._encode(community_b, community_a)
+        encoder = MinMaxEncoder(self.epsilon, min(self.n_parts, community_b.n_dims))
+        targets = encoder.targets_of(community_b)
+        candidates = encoder.candidates_of(community_a)
         # Buffer row k encodes input row real_ids[k], so argsort of
         # real_ids gives each input row's buffer row.
         at_b = np.argsort(targets.real_ids)[state["order_b"]]
@@ -87,11 +89,11 @@ class _Hybrid(_SuperEGOBase):
         return state
 
     def _collect(
-        self, vectors_b: np.ndarray, vectors_a: np.ndarray, trace: EventTrace
+        self, community_b: Community, community_a: Community, trace: EventTrace
     ) -> tuple[dict, np.ndarray, np.ndarray, int]:
         """Raw SuperEGO's leaf hits, counting the screen's NO OVERLAP
         events; the cells tested are those that passed the screen."""
-        state, hits_b, hits_a, _ = super()._collect(vectors_b, vectors_a, trace)
+        state, hits_b, hits_a, _ = super()._collect(community_b, community_a, trace)
         trace.emit_bulk(EventType.NO_OVERLAP, state["no_overlap"])
         return state, hits_b, hits_a, state["tested"]
 

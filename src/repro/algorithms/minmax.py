@@ -49,7 +49,7 @@ import numpy as np
 from ..core.encoding import EncodedCandidates, EncodedTargets, MinMaxEncoder
 from ..core.errors import ConfigurationError
 from ..core.events import EventTrace, EventType
-from ..core.matching import build_adjacency, get_matcher, linf_match
+from ..core.matching import get_matcher, linf_match, match_edges
 from ..core.types import Community, CSJResult, EventCounts
 from ..core.validation import validate_pair
 from .base import CSJAlgorithm
@@ -111,9 +111,8 @@ class _Band:
     community once, so the stacked vectors of ``B`` and ``A`` start at
     the same offsets.  Pairs are disjoint on both sides, so a global
     position names one user of one pair, and every per-pair step of a
-    single join (windows, first fit, the split before CSF) runs
-    unchanged on global positions.  All pairs share ``d``; each keeps
-    its own capped epsilon.
+    single join (windows, first fit, CSF) runs unchanged on global
+    positions.  All pairs share ``d``; each keeps its own capped epsilon.
     """
 
     def __init__(
@@ -139,19 +138,20 @@ class _Band:
         self.n_b, self.n_a = int(self.b_start[-1]), int(self.a_start[-1])
         self.encoded_id = _end_to_end([buffer.encoded_id for buffer in targets])
         self.parts = _by_part([buffer.parts for buffer in targets])
-        self.b_ids = _end_to_end([buffer.real_ids for buffer in targets])
         self.encoded_min = _end_to_end([buffer.encoded_min for buffer in candidates])
         self.encoded_max = _end_to_end([buffer.encoded_max for buffer in candidates])
         self.range_min = _by_part([buffer.range_min for buffer in candidates])
         self.range_max = _by_part([buffer.range_max for buffer in candidates])
-        self.a_ids = _end_to_end([buffer.real_ids for buffer in candidates])
         self.vectors_b = _end_to_end([community_b.vectors for community_b, _ in oriented])
         self.vectors_a = _end_to_end([community_a.vectors for _, community_a in oriented])
-        self.b_rows, self.a_rows = self.b_ids, self.a_ids
+        # Each position's user as a global row: its own id plus its
+        # pair's offset, so pair k's rows are b_start[k]:b_start[k + 1].
+        self.b_rows = _end_to_end([buffer.real_ids for buffer in targets])
+        self.a_rows = _end_to_end([buffer.real_ids for buffer in candidates])
         self.epsilon: int | np.ndarray = epsilons[0]
         if self.n_pairs > 1:
-            self.b_rows = self.b_ids + np.repeat(self.b_start[:-1], sizes_b)
-            self.a_rows = self.a_ids + np.repeat(self.a_start[:-1], sizes_a)
+            self.b_rows = self.b_rows + np.repeat(self.b_start[:-1], sizes_b)
+            self.a_rows = self.a_rows + np.repeat(self.a_start[:-1], sizes_a)
             if len(encoders) > 1:
                 self.epsilon = np.repeat(np.array(epsilons, dtype=np.int64), sizes_b)
 
@@ -260,15 +260,23 @@ class _Band:
         return np.bincount(self.pair_of_b[positions], minlength=self.n_pairs)
 
     def split(
-        self, hit_b: np.ndarray, hit_a: np.ndarray
-    ) -> Iterator[tuple[list[int], list[int]]]:
-        """Per pair, in pair order, the ``B`` and ``A`` row ids of the
-        global hits ``(hit_b, hit_a)``, in ``b`` order."""
-        bounds = np.searchsorted(hit_b, self.b_start).tolist()
-        rows_b = self.b_ids[hit_b].tolist()
-        rows_a = self.a_ids[hit_a].tolist()
+        self, rows_b: np.ndarray, rows_a: np.ndarray
+    ) -> Iterator[list[tuple[int, int]]]:
+        """Per pair, in pair order, the pairs of global rows ``(rows_b,
+        rows_a)`` that belong to it, as its own ``(b, a)`` ids and in
+        their order here.  Pair ``k``'s rows span its positions, so
+        ``pair_of_b`` names a row's pair too."""
+        if self.n_pairs == 1:
+            yield list(zip(rows_b.tolist(), rows_a.tolist()))
+            return
+        pair = self.pair_of_b[rows_b]
+        order = np.argsort(pair, kind="stable")
+        pair = pair[order]
+        rows_b = (rows_b[order] - self.b_start[pair]).tolist()
+        rows_a = (rows_a[order] - self.a_start[pair]).tolist()
+        bounds = np.searchsorted(pair, np.arange(self.n_pairs + 1)).tolist()
         for first, stop in zip(bounds, bounds[1:]):
-            yield rows_b[first:stop], rows_a[first:stop]
+            yield list(zip(rows_b[first:stop], rows_a[first:stop]))
 
 
 class _MinMaxBase(CSJAlgorithm):
@@ -513,9 +521,10 @@ class ApMinMax(_MinMaxBase):
         with trace.stage("matching"):
             chosen = np.flatnonzero(picked < n_a)
             return [
-                (list(zip(rows_b, rows_a)), EventCounts(no_match=missed, match=len(rows_b)))
-                for (rows_b, rows_a), missed in zip(
-                    band.split(chosen, picked[chosen]), no_match.tolist()
+                (pairs, EventCounts(no_match=missed, match=len(pairs)))
+                for pairs, missed in zip(
+                    band.split(band.b_rows[chosen], band.a_rows[picked[chosen]]),
+                    no_match.tolist(),
                 )
             ]
 
@@ -640,7 +649,7 @@ class ExMinMax(_MinMaxBase):
         return pairs
 
     # ------------------------------------------------------------------
-    # vectorised engine (identical matching via one CSF per pair)
+    # vectorised engine (identical matching via one CSF call per band)
     # ------------------------------------------------------------------
     def _join_numpy(  # type: ignore[override]
         self, band: _Band, trace: EventTrace
@@ -654,10 +663,15 @@ class ExMinMax(_MinMaxBase):
                 hits_b.append(b_pos[full])
                 hits_a.append(a_pos[full])
         with trace.stage("matching"):
-            edges = band.split(_end_to_end(hits_b), _end_to_end(hits_a))
-            paired: list[_Paired] = []
-            for (rows_b, rows_a), scanned in zip(edges, examined.tolist()):
-                matched = len(rows_b)
-                pairs = self._matcher(*build_adjacency(zip(rows_b, rows_a))) if matched else []
-                paired.append((pairs, EventCounts(no_match=scanned - matched, match=matched)))
-        return paired
+            # The pairs are disjoint components of the band's graph, so
+            # one call picks for each what a separate join would, in order.
+            hit_b, hit_a = _end_to_end(hits_b), _end_to_end(hits_a)
+            picks = band.split(
+                *match_edges(band.b_rows[hit_b], band.a_rows[hit_a], self.matcher_name)
+            )
+            found = np.zeros(band.n_pairs, dtype=np.int64)
+            found += band.per_pair(hit_b)
+            return [
+                (pairs, EventCounts(no_match=scanned - matched, match=matched))
+                for pairs, scanned, matched in zip(picks, examined.tolist(), found.tolist())
+            ]

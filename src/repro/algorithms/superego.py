@@ -58,7 +58,8 @@ import numpy as np
 
 from ..core.errors import ConfigurationError
 from ..core.events import EventTrace, EventType
-from ..core.matching import build_adjacency, get_matcher, linf_match_mask
+from ..core.matching import build_adjacency, get_matcher, linf_match_mask, match_edges
+from ..core.types import Community
 from .base import CSJAlgorithm
 
 __all__ = ["ApSuperEGO", "ExSuperEGO", "ego_order", "ego_sort", "ego_walk", "grid_cells"]
@@ -398,8 +399,22 @@ class _SuperEGOBase(CSJAlgorithm):
         return state
 
     # -- numpy engine: level-by-level walk + blocked leaf kernel ---------
+    def _join(
+        self, community_b: Community, community_a: Community, trace: EventTrace
+    ) -> list[tuple[int, int]]:
+        """The python engine recurses over the raw vectors; the numpy
+        engine receives the communities, for :meth:`_encode`."""
+        if self.engine == "python":
+            return self._join_python(community_b.vectors, community_a.vectors, trace)
+        return self._join_numpy(community_b, community_a, trace)  # type: ignore[arg-type]
+
+    def _encode(self, community_b: Community, community_a: Community) -> dict:
+        """The numpy engine's state, built in its ``encode`` stage: the
+        recursion's; the hybrid adds its MinMax buffers."""
+        return self._prepare(community_b.vectors, community_a.vectors)
+
     def _collect(
-        self, vectors_b: np.ndarray, vectors_a: np.ndarray, trace: EventTrace
+        self, community_b: Community, community_a: Community, trace: EventTrace
     ) -> tuple[dict, np.ndarray, np.ndarray, int]:
         """Every leaf cell that meets the join condition.
 
@@ -408,7 +423,7 @@ class _SuperEGOBase(CSJAlgorithm):
         recursion tests them — and the number of cells tested.
         """
         with trace.stage("encode"):
-            state = self._prepare(vectors_b, vectors_a)
+            state = self._encode(community_b, community_a)
         with trace.stage("enumerate"):
             leaves, pruned = ego_walk(
                 state["raw_b"],
@@ -508,25 +523,26 @@ class _SuperEGOBase(CSJAlgorithm):
 
     def _verify_pairs(
         self,
-        pairs: list[tuple[int, int]],
+        rows_b: np.ndarray,
+        rows_a: np.ndarray,
         vectors_b: np.ndarray,
         vectors_a: np.ndarray,
     ) -> list[tuple[int, int]]:
-        """Keep only pairs that satisfy the true per-dimension condition.
+        """The matched pairs ``(rows_b[k], rows_a[k])``, in order, that
+        satisfy the true per-dimension condition.
 
         The method matched them under its aggregate condition, but only
         genuinely similar pairs count towards Eq. (1); users consumed by
         false candidates are simply lost — the source of SuperEGO's
         accuracy gap.  In raw (non-normalised) mode the join condition is
-        already exact and this is the identity.
+        already exact and every pair is kept.
         """
-        if not self.use_normalized or not pairs:
-            return pairs
-        rows_b, rows_a = np.array(pairs).T
-        keep = (np.abs(vectors_b[rows_b] - vectors_a[rows_a]) <= self.epsilon).all(
-            axis=1
-        )
-        return [pair for pair, ok in zip(pairs, keep.tolist()) if ok]
+        if self.use_normalized:
+            keep = (np.abs(vectors_b[rows_b] - vectors_a[rows_a]) <= self.epsilon).all(
+                axis=1
+            )
+            rows_b, rows_a = rows_b[keep], rows_a[keep]
+        return list(zip(rows_b.tolist(), rows_a.tolist()))
 
 
 class ApSuperEGO(_SuperEGOBase):
@@ -570,15 +586,15 @@ class ApSuperEGO(_SuperEGOBase):
         state = self._run(vectors_b, vectors_a, trace)
         return self._finish(state, state["pairs"], vectors_b, vectors_a)
 
-    def _join_numpy(
-        self, vectors_b: np.ndarray, vectors_a: np.ndarray, trace: EventTrace
+    def _join_numpy(  # type: ignore[override]
+        self, community_b: Community, community_a: Community, trace: EventTrace
     ) -> list[tuple[int, int]]:
-        state, hits_b, hits_a, cells = self._collect(vectors_b, vectors_a, trace)
+        state, hits_b, hits_a, cells = self._collect(community_b, community_a, trace)
         with trace.stage("matching"):
             # First fit over the hits in the order the recursion tests
             # them: a b takes its first hit whose a is still free.
-            used_b = bytearray(len(vectors_b))
-            used_a = bytearray(len(vectors_a))
+            used_b = bytearray(community_b.n_users)
+            used_a = bytearray(community_a.n_users)
             pairs = []
             for i, j in zip(hits_b.tolist(), hits_a.tolist()):
                 if used_b[i] or used_a[j]:
@@ -586,7 +602,7 @@ class ApSuperEGO(_SuperEGOBase):
                 used_b[i] = used_a[j] = 1
                 pairs.append((i, j))
             self._count(trace, cells, hits_b.size, len(pairs))
-            return self._finish(state, pairs, vectors_b, vectors_a)
+            return self._finish(state, pairs, community_b.vectors, community_a.vectors)
 
     def _count(self, trace: EventTrace, tested: int, hits: int, picks: int) -> None:
         """Each pick is one MATCH, as in the recursion; which cells a
@@ -602,9 +618,10 @@ class ApSuperEGO(_SuperEGOBase):
         vectors_a: np.ndarray,
     ) -> list[tuple[int, int]]:
         """Map EGO-order pairs back to input rows and verify them."""
-        order_b, order_a = state["order_b"], state["order_a"]
-        pairs = [(int(order_b[i]), int(order_a[j])) for i, j in pairs]
-        return self._verify_pairs(pairs, vectors_b, vectors_a)
+        rows = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+        return self._verify_pairs(
+            state["order_b"][rows[:, 0]], state["order_a"][rows[:, 1]], vectors_b, vectors_a
+        )
 
 
 class ExSuperEGO(_SuperEGOBase):
@@ -660,36 +677,23 @@ class ExSuperEGO(_SuperEGOBase):
         self, vectors_b: np.ndarray, vectors_a: np.ndarray, trace: EventTrace
     ) -> list[tuple[int, int]]:
         state = self._run(vectors_b, vectors_a, trace)
+        if not state["pairs"]:
+            return []
         order_b, order_a = state["order_b"], state["order_a"]
         raw_pairs = [(int(order_b[i]), int(order_a[j])) for i, j in state["pairs"]]
-        return self._cover(raw_pairs, vectors_b, vectors_a, trace)
+        trace.note(f"CSF over {len(raw_pairs)} candidate pairs")
+        matched = np.array(self._matcher(*build_adjacency(raw_pairs)), dtype=np.intp)
+        return self._verify_pairs(matched[:, 0], matched[:, 1], vectors_b, vectors_a)
 
-    def _join_numpy(
-        self, vectors_b: np.ndarray, vectors_a: np.ndarray, trace: EventTrace
+    def _join_numpy(  # type: ignore[override]
+        self, community_b: Community, community_a: Community, trace: EventTrace
     ) -> list[tuple[int, int]]:
-        state, hits_b, hits_a, cells = self._collect(vectors_b, vectors_a, trace)
+        state, hits_b, hits_a, cells = self._collect(community_b, community_a, trace)
         with trace.stage("matching"):
-            raw_pairs = list(
-                zip(
-                    state["order_b"][hits_b].tolist(),
-                    state["order_a"][hits_a].tolist(),
-                )
+            pairs = self._verify_pairs(
+                *match_edges(state["order_b"][hits_b], state["order_a"][hits_a], self.matcher_name),
+                community_b.vectors,
+                community_a.vectors,
             )
-            pairs = self._cover(raw_pairs, vectors_b, vectors_a, trace)
         self._count(trace, cells, hits_b.size, len(pairs))
         return pairs
-
-    def _cover(
-        self,
-        raw_pairs: list[tuple[int, int]],
-        vectors_b: np.ndarray,
-        vectors_a: np.ndarray,
-        trace: EventTrace,
-    ) -> list[tuple[int, int]]:
-        """One CSF call over all candidate pairs, then verification."""
-        if not raw_pairs:
-            return []
-        matched_b, matched_a = build_adjacency(raw_pairs)
-        trace.note(f"CSF over {len(raw_pairs)} candidate pairs")
-        matched = self._matcher(matched_b, matched_a)
-        return self._verify_pairs(matched, vectors_b, vectors_a)

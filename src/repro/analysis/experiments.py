@@ -205,14 +205,16 @@ def render_experiments_md(*, scale: float, seed: int, n_users: int = 20_000) -> 
         "d-dimensional comparisons (132,375 vs 2,293,977 over the 20 "
         "couples at 1/128, ε 1, t 64; `benchmarks/bench_hybrid_claim.py` "
         "checks the ordering), but it does not win on wall time: per pass "
-        "over those couples (median of 5 alternating runs, best of 5 "
-        "passes each, 2-vCPU host) Ap-/Ex-Hybrid take 0.22 / 0.31 s and "
-        "raw Ap-/Ex-SuperEGO 0.18 / 0.24 s.  The hybrid adds a MinMax "
-        "encoding per join, and SuperEGO's blocked leaf test already "
-        "rejects most cells on its first integer dimensions, about as "
-        "cheaply as the encoded screen does.  (With its own per-leaf "
-        "loop the hybrid took 0.40 / 0.49 s, raw SuperEGO 0.20 / 0.27 s; "
-        "see docs/algorithms.md.)",
+        "over those couples (each variant alone in a fresh process, "
+        "scaled to the benchmark's nominal host speed, median of 3 "
+        "alternating runs of 7 passes) Ap-/Ex-Hybrid take 0.152 / 0.159 s "
+        "and raw Ap-/Ex-SuperEGO 0.122 / 0.138 s.  The hybrid reads its "
+        "MinMax buffers from each community's memo but still permutes "
+        "them into EGO order on every join, and SuperEGO's blocked leaf "
+        "test already rejects most cells on its first integer dimensions, "
+        "about as cheaply as the encoded screen does.  (With its own "
+        "per-leaf loop the hybrid took 0.40 / 0.49 s, raw SuperEGO "
+        "0.20 / 0.27 s, in unscaled wall time; see docs/algorithms.md.)",
         "* **Organic couple bands** — the population subscription model "
         "(`make_population_couple`) lands same-category couples near 30% "
         "and different-category ones near 15–19% without any engineered "

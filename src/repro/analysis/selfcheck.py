@@ -11,7 +11,9 @@ Checks:
 1. every method, the two hybrids included, returns a one-to-one
    matching of valid pairs;
 2. the two engines of every method return the same matching (a
-   hybrid's python engine is raw SuperEGO's recursion);
+   hybrid's python engine is raw SuperEGO's recursion), and the numpy
+   engines' array CSF picks what the python engines' dict CSF picks, in
+   the same order, on the couple's Ex-Baseline candidate graph;
 3. Ex-Baseline and Ex-MinMax agree exactly (segmented CSF == global CSF);
 4. Hopcroft–Karp never returns fewer pairs than CSF;
 5. no approximate method beats the exact maximum;
@@ -32,6 +34,7 @@ import numpy as np
 
 from ..algorithms import ALL_METHODS, HYBRID_METHODS, get_algorithm
 from ..core.encoding import MinMaxEncoder
+from ..core.matching import build_adjacency, candidate_edges, cover_smallest_first, match_edges
 from ..core.types import Community, CSJResult
 
 __all__ = ["CheckOutcome", "SelfCheckReport", "run_selfcheck"]
@@ -119,6 +122,18 @@ def run_selfcheck(
                 passed=same,
             )
         )
+
+    # 2b: the array CSF picks the dict CSF's pairs, in order.
+    rows_b, rows_a = candidate_edges(community_b.vectors, community_a.vectors, epsilon)
+    picked_b, picked_a = match_edges(rows_b, rows_a)
+    expected = cover_smallest_first(*build_adjacency(zip(rows_b.tolist(), rows_a.tolist())))
+    outcomes.append(
+        CheckOutcome(
+            name="array csf == dict csf, pick for pick",
+            passed=list(zip(picked_b.tolist(), picked_a.tolist())) == expected,
+            detail=f"{len(expected)} picks over {rows_b.size} candidate pairs",
+        )
+    )
 
     # 3: segmented CSF == global CSF.
     outcomes.append(

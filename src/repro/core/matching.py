@@ -14,6 +14,12 @@ This module therefore also ships a from-scratch Hopcroft–Karp
 implementation (and a networkx cross-check used by the tests) so the
 library can quantify how far CSF is from the optimum — see the matcher
 ablation benchmark.
+
+The matchers take the candidate graph as dict-of-set adjacency
+(:func:`build_adjacency`), the form the python engines build.  The numpy
+engines hand theirs over as two edge arrays to :func:`match_edges`,
+whose CSF runs over CSR arrays with a degree bucket queue and picks
+exactly what :func:`cover_smallest_first` picks, in the same order.
 """
 
 from __future__ import annotations
@@ -33,8 +39,10 @@ __all__ = [
     "linf_match",
     "linf_match_mask",
     "enumerate_candidate_pairs",
+    "candidate_edges",
     "build_adjacency",
     "cover_smallest_first",
+    "match_edges",
     "hopcroft_karp",
     "greedy_first_fit",
     "get_matcher",
@@ -43,6 +51,8 @@ __all__ = [
 
 Pairs = list[tuple[int, int]]
 Adjacency = dict[int, set[int]]
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def linf_match(vector_b: np.ndarray, vector_a: np.ndarray, epsilon: int) -> bool:
@@ -69,19 +79,37 @@ def enumerate_candidate_pairs(
     block_size: int = 512,
     metrics: "MetricsRegistry | None" = None,
 ) -> Pairs:
+    """All candidate pairs within per-dimension epsilon, as a list of
+    ``(b, a)`` tuples: :func:`candidate_edges`, zipped."""
+    rows_b, rows_a = candidate_edges(
+        vectors_b, vectors_a, epsilon, block_size=block_size, metrics=metrics
+    )
+    return list(zip(rows_b.tolist(), rows_a.tolist()))
+
+
+def candidate_edges(
+    vectors_b: np.ndarray,
+    vectors_a: np.ndarray,
+    epsilon: int,
+    *,
+    block_size: int = 512,
+    metrics: "MetricsRegistry | None" = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """All candidate pairs within per-dimension epsilon, blockwise.
 
     Accumulates the condition one dimension at a time over
     ``(block, |A|)`` planes, so peak memory is independent of ``d``.
-    Used by Ex-Baseline and by callers that need the raw candidate graph
-    (e.g. optimal weighted matching).  With ``metrics`` attached, the
-    pairs examined and the candidates found are counted into the
-    ``repro_core_candidate_pairs_examined_total`` / ``repro_core_candidate_pairs_found_total``
-    counters.
+    Returns the pairs' ``b`` and ``a`` rows as two integer arrays, in
+    ``(b, a)`` order.  Used by Ex-Baseline and by callers that need the
+    raw candidate graph (e.g. optimal weighted matching).  With
+    ``metrics`` attached, the pairs examined and the candidates found
+    are counted into the ``repro_core_candidate_pairs_examined_total`` /
+    ``repro_core_candidate_pairs_found_total`` counters.
     """
     if block_size < 1:
         raise ConfigurationError(f"block_size must be >= 1, got {block_size}")
-    pairs: Pairs = []
+    found_b = [np.zeros(0, dtype=np.intp)]
+    found_a = [np.zeros(0, dtype=np.intp)]
     # Same int64 widening as linf_match/linf_match_mask: narrow unsigned
     # or small-int dtypes would otherwise wrap around in the subtraction.
     vectors_b = vectors_b.astype(np.int64, copy=False)
@@ -97,11 +125,13 @@ def enumerate_candidate_pairs(
             if not mask.any():
                 break
         rows, cols = np.nonzero(mask)
-        pairs.extend(zip((rows + start).tolist(), cols.tolist()))
+        found_b.append(rows + start)
+        found_a.append(cols)
+    rows_b, rows_a = np.concatenate(found_b), np.concatenate(found_a)
     if metrics is not None:
         metrics.inc("repro_core_candidate_pairs_examined_total", n_b * n_a)
-        metrics.inc("repro_core_candidate_pairs_found_total", len(pairs))
-    return pairs
+        metrics.inc("repro_core_candidate_pairs_found_total", rows_b.size)
+    return rows_b, rows_a
 
 
 def build_adjacency(pairs: Iterable[tuple[int, int]]) -> tuple[Adjacency, Adjacency]:
@@ -187,6 +217,148 @@ def _remove_covered(
             del adj_b[neighbour]
 
 
+def match_edges(
+    rows_b: np.ndarray, rows_a: np.ndarray, matcher: str = "csf"
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs ``matcher`` selects from a candidate graph given as edges.
+
+    Edge ``k`` joins user ``rows_b[k]`` of ``B`` and user ``rows_a[k]``
+    of ``A``; the edges may come in any order and repeat.  Returns the
+    selected pairs' ``b`` and ``a`` ids as two int64 arrays, in the
+    order ``get_matcher(matcher)(*build_adjacency(pairs))`` returns
+    them.  ``hopcroft_karp`` and ``greedy`` run exactly that; ``csf``
+    builds no dict and covers over CSR arrays (:func:`_cover_csr`).
+
+    A graph laid out from disjoint ones (no id shared across them, each
+    one's ids in its own order) is matched as each one alone would be:
+    the matchers never look across components, and CSF's tie rule
+    keeps every component's relative order, so splitting the picks by
+    component gives each the picks of a separate call, in order.
+    """
+    rows_b = np.asarray(rows_b, dtype=np.int64)
+    rows_a = np.asarray(rows_a, dtype=np.int64)
+    if matcher != "csf":
+        pairs = get_matcher(matcher)(*build_adjacency(zip(rows_b.tolist(), rows_a.tolist())))
+        picked = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        return picked[:, 0], picked[:, 1]
+    if rows_b.size == 0:
+        return rows_b, rows_a
+    low_b, low_a = int(rows_b.min()), int(rows_a.min())
+    span_a = int(rows_a.max()) - low_a + 1
+    if (int(rows_b.max()) - low_b + 1) * span_a > _INT64_MAX:
+        # Ids too sparse for one int64 edge key: cover their ranks.
+        ids_b, ids_a = np.sort(rows_b), np.sort(rows_a)
+        picked_b, picked_a = match_edges(
+            np.searchsorted(ids_b, rows_b), np.searchsorted(ids_a, rows_a)
+        )
+        return ids_b[picked_b], ids_a[picked_a]
+    ids_b, ids_a, indptr, adjacency = _csr(rows_b - low_b, rows_a - low_a, span_a)
+    users, partners = _cover_csr(indptr, adjacency)
+    on_b = users < ids_b.size
+    vertex_b = np.where(on_b, users, partners)
+    vertex_a = np.where(on_b, partners, users) - ids_b.size
+    return ids_b[vertex_b] + low_b, ids_a[vertex_a] + low_a
+
+
+def _csr(
+    rows_b: np.ndarray, rows_a: np.ndarray, span_a: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The bipartite graph of non-negative edge arrays, ``rows_a`` below
+    ``span_a``, as CSR adjacency.
+
+    Vertices are ``B``'s distinct ids ascending, then ``A``'s; vertex
+    ``v``'s neighbours are ``adjacency[indptr[v]:indptr[v + 1]]``,
+    ascending, each edge once.  Returns ``(ids_b, ids_a, indptr,
+    adjacency)``, the ids being the vertices' own.
+    """
+    # One sort of the (b, a) keys orders the distinct edges by b, then
+    # a; one stable argsort of their a ids orders them by a, then b.
+    # Both are stable argsorts, the kernel the MinMax encoder already
+    # runs: np.sort's own kernel adds about 0.3 MB of resident code.
+    keys = rows_b * span_a + rows_a
+    keys = keys[np.argsort(keys, kind="stable")]
+    keys = keys[_runs(keys)[0]]
+    edge_b, edge_a = np.divmod(keys, span_a)
+    by_a = np.argsort(edge_a, kind="stable")
+    first_b, rank_b = _runs(edge_b)
+    first_a, rank_a = _runs(edge_a[by_a])
+    adjacency = np.empty(2 * keys.size, dtype=np.int64)
+    adjacency[: keys.size][by_a] = first_b.size + rank_a
+    adjacency[keys.size :] = rank_b[by_a]
+    indptr = np.concatenate([first_b, keys.size + first_a, [adjacency.size]])
+    return edge_b[first_b], edge_a[by_a][first_a], indptr, adjacency
+
+
+def _runs(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first index of each run of equal values of an ascending
+    array, and each element's run number."""
+    start = np.empty(ordered.size, dtype=bool)
+    start[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=start[1:])
+    return np.flatnonzero(start), np.cumsum(start) - 1
+
+
+def _cover_csr(
+    indptr: np.ndarray, adjacency: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """CSF over CSR adjacency: each pick's user and partner vertex, in
+    cover order.
+
+    Vertices are numbered in the tie order (``B``'s ids ascending, then
+    ``A``'s), so :func:`cover_smallest_first`'s next user is the live
+    vertex with the fewest remaining neighbours and then the smallest
+    number, and its partner is the user's neighbour with the fewest
+    remaining and then the smallest number.  A covered vertex counts 0.
+
+    ``buckets[d]`` is a heap of the vertices that had ``d`` remaining
+    when pushed; a vertex is pushed again each time its count drops, so
+    an entry whose count has changed since is stale and skipped.  No
+    live vertex has fewer than ``low`` remaining, so the first live
+    entry of the first non-empty bucket from ``low`` up is the next
+    user, and its first neighbour with ``low`` remaining is its partner.
+    """
+    remaining = np.diff(indptr).tolist()
+    top = max(remaining)
+    buckets: list[list[int]] = [[] for _ in range(top + 1)]
+    for vertex, count in enumerate(remaining):
+        buckets[count].append(vertex)  # ascending, so a valid heap
+    starts = indptr.tolist()
+    neighbours = adjacency.tolist()
+    push, pop = heapq.heappush, heapq.heappop
+    users: list[int] = []
+    partners: list[int] = []
+    low = 1
+    while low <= top:
+        bucket = buckets[low]
+        if not bucket:
+            low += 1
+            continue
+        user = pop(bucket)
+        if remaining[user] != low:
+            continue
+        partner, fewest = -1, top + 1
+        for other in neighbours[starts[user] : starts[user + 1]]:
+            count = remaining[other]
+            if 0 < count < fewest:
+                partner, fewest = other, count
+                if count == low:
+                    break
+        users.append(user)
+        partners.append(partner)
+        remaining[user] = remaining[partner] = 0
+        for covered in (user, partner):
+            for other in neighbours[starts[covered] : starts[covered + 1]]:
+                count = remaining[other] - 1
+                if count > 0:
+                    remaining[other] = count
+                    push(buckets[count], other)
+                    if count < low:
+                        low = count
+                elif count == 0:
+                    remaining[other] = 0
+    return np.array(users, dtype=np.int64), np.array(partners, dtype=np.int64)
+
+
 def hopcroft_karp(matched_b: Adjacency, matched_a: Adjacency | None = None) -> Pairs:
     """Maximum bipartite matching via Hopcroft–Karp (from scratch).
 
@@ -227,17 +399,37 @@ def hopcroft_karp(matched_b: Adjacency, matched_a: Adjacency | None = None) -> P
         bfs.distances = distances  # type: ignore[attr-defined]
         return reachable_free
 
-    def dfs(b: int) -> bool:
+    def dfs(root: int) -> bool:
+        """One augmenting path from ``root`` along the BFS layers.
+
+        Iterative, so a path may be as long as the graph: ``path`` holds
+        the ``b`` of each open step and ``tried`` how many of its
+        neighbours it has tried, in the order a recursion would try them.
+        """
         distances = bfs.distances  # type: ignore[attr-defined]
-        for a in adjacency[b]:
-            partner = match_of_a[a]
-            if partner is None or (
-                distances[partner] == distances[b] + 1 and dfs(partner)
-            ):
-                match_of_b[b] = a
-                match_of_a[a] = b
-                return True
-        distances[b] = infinity
+        path, tried = [root], [0]
+        while path:
+            b = path[-1]
+            partners = adjacency[b]
+            while tried[-1] < len(partners):
+                a = partners[tried[-1]]
+                tried[-1] += 1
+                partner = match_of_a[a]
+                if partner is None:
+                    # Flip the path: each b takes the a it stepped through.
+                    for step, tries in zip(path, tried):
+                        a = adjacency[step][tries - 1]
+                        match_of_b[step] = a
+                        match_of_a[a] = step
+                    return True
+                if distances[partner] == distances[b] + 1:
+                    path.append(partner)
+                    tried.append(0)
+                    break
+            else:
+                distances[b] = infinity
+                path.pop()
+                tried.pop()
         return False
 
     while bfs():

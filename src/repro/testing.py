@@ -20,6 +20,8 @@ their own CSJ implementations against this one):
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from .core.errors import ValidationError
@@ -62,7 +64,14 @@ def maximum_matching_size(pairs: set[tuple[int, int]]) -> int:
     graph.add_nodes_from(b_nodes, bipartite=0)
     graph.add_nodes_from({("a", a) for _, a in pairs}, bipartite=1)
     graph.add_edges_from((("b", b), ("a", a)) for b, a in pairs)
-    matching = nx.bipartite.maximum_matching(graph, top_nodes=b_nodes)
+    # networkx's Hopcroft–Karp recurses once per step of an augmenting
+    # path, and a path may pass every B node.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + len(b_nodes))
+    try:
+        matching = nx.bipartite.maximum_matching(graph, top_nodes=b_nodes)
+    finally:
+        sys.setrecursionlimit(limit)
     return len(matching) // 2
 
 

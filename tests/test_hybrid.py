@@ -11,7 +11,9 @@ import pytest
 from repro import csj_similarity
 from repro.algorithms import superego
 from repro.algorithms.hybrid import ApHybrid, ExHybrid
+from repro.algorithms.minmax import ExMinMax
 from repro.algorithms.superego import ApSuperEGO, ExSuperEGO
+from repro.core.encoding import MinMaxEncoder
 from repro.core.errors import ConfigurationError
 from repro.core.types import Community
 from tests.conftest import (
@@ -143,6 +145,52 @@ class TestRawSuperEGOParity:
         expected = _python_join(raw, 0, 3, False)
         assert python.pair_tuples() == expected.pair_tuples()
         assert python.events == expected.events
+
+
+class TestEncodingMemo:
+    """The numpy engine reads both MinMax buffers from the memo on each
+    community, as MinMax does; the python engine, raw SuperEGO's
+    recursion, encodes nothing."""
+
+    @pytest.fixture
+    def encode_calls(self, monkeypatch):
+        calls = {"targets": 0, "candidates": 0}
+        encode_targets = MinMaxEncoder.encode_targets
+        encode_candidates = MinMaxEncoder.encode_candidates
+
+        def counted_targets(encoder, vectors):
+            calls["targets"] += 1
+            return encode_targets(encoder, vectors)
+
+        def counted_candidates(encoder, vectors):
+            calls["candidates"] += 1
+            return encode_candidates(encoder, vectors)
+
+        monkeypatch.setattr(MinMaxEncoder, "encode_targets", counted_targets)
+        monkeypatch.setattr(MinMaxEncoder, "encode_candidates", counted_candidates)
+        return calls
+
+    @pytest.mark.parametrize("cls", [ApHybrid, ExHybrid])
+    def test_repeat_join_encodes_nothing(self, small_couple, encode_calls, cls):
+        b, a = small_couple
+        first = cls(1, t=4).join(b, a)
+        assert encode_calls == {"targets": 1, "candidates": 1}
+        second = cls(1, t=4).join(b, a)
+        assert encode_calls == {"targets": 1, "candidates": 1}
+        assert second.pair_tuples() == first.pair_tuples()
+        assert second.events == first.events
+
+    def test_shares_minmax_buffers(self, small_couple, encode_calls):
+        b, a = small_couple
+        ExMinMax(1).join(b, a)
+        ApHybrid(1).join(b, a)
+        ExHybrid(1).join(b, a)
+        assert encode_calls == {"targets": 1, "candidates": 1}
+
+    @pytest.mark.parametrize("cls", [ApHybrid, ExHybrid])
+    def test_python_engine_encodes_nothing(self, small_couple, encode_calls, cls):
+        cls(1, engine="python", t=4).join(*small_couple)
+        assert encode_calls == {"targets": 0, "candidates": 0}
 
 
 class TestHybridSpeedClaim:

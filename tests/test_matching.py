@@ -5,10 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.algorithms import minmax, superego
+from repro.algorithms.baseline import ExBaseline
+from repro.algorithms.minmax import ExMinMax
+from repro.algorithms.superego import ExSuperEGO
 from repro.core.errors import ConfigurationError
 from repro.core.matching import (
     MATCHERS,
     build_adjacency,
+    candidate_edges,
     cover_smallest_first,
     enumerate_candidate_pairs,
     get_matcher,
@@ -16,11 +21,15 @@ from repro.core.matching import (
     hopcroft_karp,
     linf_match,
     linf_match_mask,
+    match_edges,
     matching_size_upper_bound,
     pairs_are_one_to_one,
     pairs_respect_graph,
 )
+from repro.core.types import Community
+from repro.testing import brute_force_candidate_pairs
 from tests.conftest import maximum_matching_size
+from tests.test_superego import _paper_couples
 
 
 class TestLinfPredicates:
@@ -82,6 +91,15 @@ class TestEnumerateCandidatePairs:
         assert enumerate_candidate_pairs(
             vectors_b, vectors_a, epsilon=10, block_size=3
         ) == enumerate_candidate_pairs(vectors_b, vectors_a, epsilon=10)
+
+    def test_edges_are_the_pairs(self):
+        rng = np.random.default_rng(44)
+        vectors_b = rng.integers(0, 6, size=(13, 3))
+        vectors_a = rng.integers(0, 6, size=(16, 3))
+        rows_b, rows_a = candidate_edges(vectors_b, vectors_a, epsilon=2, block_size=4)
+        assert list(zip(rows_b.tolist(), rows_a.tolist())) == enumerate_candidate_pairs(
+            vectors_b, vectors_a, epsilon=2
+        )
 
 
 class TestBuildAdjacency:
@@ -183,6 +201,19 @@ class TestHopcroftKarp:
     def test_empty(self):
         assert hopcroft_karp({}, {}) == []
 
+    def test_long_augmenting_path_needs_no_recursion(self):
+        # b_i matches a_i and a_{i+1}; b_1500 = 0 matches only a_0.  First
+        # fit fills a_0..a_1499, so the last augmenting path runs through
+        # all 1,501 users: far beyond Python's recursion limit.
+        vectors_b = np.array([[2 * i + 1] for i in range(1500)] + [[0]])
+        vectors_a = np.array([[2 * i] for i in range(1501)])
+        oracle = maximum_matching_size(brute_force_candidate_pairs(vectors_b, vectors_a, 1))
+        assert oracle == 1501
+        b, a = Community("B", vectors_b), Community("A", vectors_a)
+        for cls in (ExBaseline, ExMinMax):
+            assert cls(1, matcher="hopcroft_karp").join(b, a).n_matched == oracle
+            assert cls(1).join(b, a).n_matched == oracle
+
     def test_at_least_as_large_as_csf(self):
         for seed in range(6):
             rng = np.random.default_rng(200 + seed)
@@ -205,6 +236,79 @@ class TestGreedyFirstFit:
         matched_b, matched_a = build_adjacency([(0, 0), (1, 0), (1, 1), (2, 1)])
         result = greedy_first_fit(matched_b, matched_a)
         assert pairs_are_one_to_one(result)
+
+
+def _pairs(picked: tuple[np.ndarray, np.ndarray]) -> list[tuple[int, int]]:
+    return list(zip(picked[0].tolist(), picked[1].tolist()))
+
+
+def _dict_csf(rows_b: np.ndarray, rows_a: np.ndarray) -> list[tuple[int, int]]:
+    return cover_smallest_first(*build_adjacency(zip(rows_b.tolist(), rows_a.tolist())))
+
+
+class TestMatchEdges:
+    """The array CSF against the dict CSF, its oracle: the same pairs in
+    the same order.  The other matchers run over the dict adjacency."""
+
+    @pytest.fixture
+    def engine_graphs(self, monkeypatch):
+        """Every edge-array graph Ex-SuperEGO and Ex-MinMax hand over."""
+        graphs: list[tuple[np.ndarray, np.ndarray]] = []
+
+        def recorded(rows_b, rows_a, matcher="csf"):
+            graphs.append((rows_b.copy(), rows_a.copy()))
+            return match_edges(rows_b, rows_a, matcher)
+
+        monkeypatch.setattr(superego, "match_edges", recorded)
+        monkeypatch.setattr(minmax, "match_edges", recorded)
+        return graphs
+
+    def test_paper_couple_hit_graphs(self, engine_graphs):
+        couples = _paper_couples()
+        for first, second in couples:
+            ExSuperEGO(1).join(first, second)
+            ExMinMax(1).join(first, second)
+        assert len(engine_graphs) == 2 * len(couples)
+        for rows_b, rows_a in engine_graphs:
+            assert rows_b.size
+            assert _pairs(match_edges(rows_b, rows_a)) == _dict_csf(rows_b, rows_a)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_components_laid_end_to_end(self, seed):
+        # Graphs sharing no id, each one's ids shifted past the last
+        # one's: one call, split back by graph, equals one call each.
+        rng = np.random.default_rng(seed)
+        graphs, at_b, at_a = [], 0, 0
+        for _ in range(5):
+            n_b, n_a = (int(n) for n in rng.integers(1, 15, size=2))
+            size = int(rng.integers(0, 40))
+            rows_b, rows_a = rng.integers(0, n_b, size), rng.integers(0, n_a, size)
+            graphs.append((rows_b, rows_a, at_b, at_a, n_b))
+            at_b, at_a = at_b + n_b, at_a + n_a
+        order = rng.permutation(sum(graph[0].size for graph in graphs))
+        picked_b, picked_a = match_edges(
+            np.concatenate([rows_b + at_b for rows_b, _, at_b, _, _ in graphs])[order],
+            np.concatenate([rows_a + at_a for _, rows_a, _, at_a, _ in graphs])[order],
+        )
+        for rows_b, rows_a, at_b, at_a, n_b in graphs:
+            mine = (picked_b >= at_b) & (picked_b < at_b + n_b)
+            split = _pairs((picked_b[mine] - at_b, picked_a[mine] - at_a))
+            assert split == _pairs(match_edges(rows_b, rows_a)) == _dict_csf(rows_b, rows_a)
+
+    @pytest.mark.parametrize("matcher", sorted(MATCHERS))
+    def test_every_matcher_matches_its_dict_form(self, matcher):
+        rng = np.random.default_rng(5)
+        rows_b, rows_a = rng.integers(0, 30, 150), rng.integers(0, 30, 150)
+        expected = get_matcher(matcher)(
+            *build_adjacency(zip(rows_b.tolist(), rows_a.tolist()))
+        )
+        assert _pairs(match_edges(rows_b, rows_a, matcher)) == expected
+        empty = np.zeros(0, dtype=np.int64)
+        assert _pairs(match_edges(empty, empty, matcher)) == []
+
+    def test_unknown_matcher(self):
+        with pytest.raises(ConfigurationError, match="unknown matcher"):
+            match_edges(np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64), "magic")
 
 
 class TestRegistryAndHelpers:

@@ -6,6 +6,8 @@ These cover the load-bearing guarantees of the system:
   ever pruned falsely;
 * CSF and Hopcroft–Karp always return valid one-to-one matchings inside
   the candidate graph, with HK reaching the networkx maximum;
+* the array CSF (``match_edges``) picks exactly what the dict CSF picks,
+  in the same order, whatever the edge order, duplicates or ids;
 * every method's matching satisfies the CSJ per-dimension condition for
   arbitrary inputs, epsilons and part counts;
 * the two engines of each method agree on arbitrary inputs.
@@ -23,6 +25,7 @@ from repro.core.matching import (
     build_adjacency,
     cover_smallest_first,
     hopcroft_karp,
+    match_edges,
     pairs_are_one_to_one,
     pairs_respect_graph,
 )
@@ -53,6 +56,19 @@ edge_sets = st.sets(
     ),
     max_size=40,
 )
+
+
+#: Edge lists with repeats, in any order.
+edge_lists = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=10), st.integers(min_value=0, max_value=10)
+    ),
+    max_size=60,
+)
+
+#: Sparse, non-contiguous ids, negative ones and ids near the int64
+#: limits among them.
+sparse_ids = st.sampled_from([-(2**62), -7, 0, 3, 1_000, 10**9 + 7, 2**40, 2**62])
 
 
 def make_couple(rows_b: list[list[int]], rows_a: list[list[int]]):
@@ -129,6 +145,36 @@ def test_csf_valid_and_half_optimal(pairs):
     assert pairs_respect_graph(result, matched_b)
     optimum = maximum_matching_size(pairs)
     assert optimum / 2 <= len(result) <= optimum
+
+
+def array_csf(pairs) -> list[tuple[int, int]]:
+    rows = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    picked_b, picked_a = match_edges(rows[:, 0], rows[:, 1])
+    return list(zip(picked_b.tolist(), picked_a.tolist()))
+
+
+@given(pairs=edge_lists, data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_array_csf_equals_dict_csf(pairs, data):
+    expected = cover_smallest_first(*build_adjacency(pairs))
+    assert array_csf(pairs) == expected
+    shuffled = data.draw(st.permutations(pairs))
+    assert array_csf(shuffled) == expected
+
+
+@given(
+    pairs=st.lists(st.tuples(sparse_ids, sparse_ids), max_size=30),
+    doubled=st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+def test_array_csf_equals_dict_csf_on_sparse_ids(pairs, doubled):
+    if doubled:
+        pairs = pairs + pairs[::-1]
+    assert array_csf(pairs) == cover_smallest_first(*build_adjacency(pairs))
+
+
+def test_array_csf_on_the_empty_graph():
+    assert array_csf([]) == cover_smallest_first({}, {}) == []
 
 
 @given(pairs=edge_sets)

@@ -38,6 +38,7 @@ class TestRunSelfCheck:
     def test_check_names_cover_the_battery(self, report):
         names = " ".join(outcome.name for outcome in report.outcomes)
         assert "engines agree" in names
+        assert "array csf == dict csf, pick for pick" in names
         assert "CSF segmentation" in names
         assert "hopcroft-karp >= csf" in names
         assert "brute-force match" in names
