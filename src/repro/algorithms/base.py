@@ -28,12 +28,17 @@ import numpy as np
 
 from ..core.errors import ConfigurationError
 from ..core.events import EventTrace
-from ..core.types import Community, CSJResult, EventCounts, MatchedPair
+from ..core.types import Community, CSJResult, EventCounts, MatchedPair, community_envelope
 from ..core.validation import validate_epsilon, validate_pair
 
 __all__ = ["CSJAlgorithm", "ENGINES"]
 
 ENGINES = ("python", "numpy")
+
+
+def largest_counter(community_b: Community, community_a: Community) -> int:
+    """The largest counter of a pair, read from its memoised envelopes."""
+    return max(community_envelope(community_b).largest, community_envelope(community_a).largest)
 
 
 class CSJAlgorithm(abc.ABC):
@@ -195,9 +200,9 @@ class CSJAlgorithm(abc.ABC):
         counter admits every pair on every dimension: the copy pairs
         exactly as ``self`` would, while every kernel's ``counter +
         epsilon`` sums stay inside int64.  The result keeps the caller's
-        epsilon.
+        epsilon.  The largest counters come from the memoised envelopes.
         """
-        bound = 1 + max(int(community_b.vectors.max()), int(community_a.vectors.max()))
+        bound = 1 + largest_counter(community_b, community_a)
         if self.epsilon <= bound:
             return self
         kernel = copy.copy(self)

@@ -38,7 +38,7 @@ from ..core.events import EventTrace, EventType
 from ..core.matching import get_matcher
 from ..core.types import Community
 from .minmax import parts_inside
-from .superego import ApSuperEGO, ExSuperEGO, _SuperEGOBase
+from .superego import ApSuperEGO, ExSuperEGO, _SuperEGOBase, _tile_positions
 
 __all__ = ["ApHybrid", "ExHybrid"]
 
@@ -65,6 +65,10 @@ class _Hybrid(_SuperEGOBase):
     # Both variants count each tested cell as MATCH or NO MATCH, where
     # Ap-SuperEGO counts only its picks.
     _count = _SuperEGOBase._count
+
+    # The encoded screen compacts each tile before any dimension is
+    # tested.
+    _tile_dims = 0
 
     def _encode(self, community_b: Community, community_a: Community) -> dict:
         """Raw SuperEGO's state plus both sides' MinMax buffers, read from
@@ -100,41 +104,42 @@ class _Hybrid(_SuperEGOBase):
     def _leaf_hits(
         self, state: dict, leaves: np.ndarray
     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Raw SuperEGO's leaf kernel behind :meth:`_screen`.
+        """Raw SuperEGO's leaf kernel behind the encoded screen of
+        :meth:`_tile_cells`.
 
         A leaf none of whose cells passes the window counts all of its
         cells as NO OVERLAP; any other leaf counts its cells that pass
         the window but fail the part/range test.
         """
         cells = (leaves[:, 1] - leaves[:, 0]) * (leaves[:, 3] - leaves[:, 2])
-        state.update(
-            ends=np.cumsum(cells),
-            windowed=np.zeros(cells.size, dtype=bool),
-            no_overlap=0,
-            tested=0,
-        )
+        state.update(windowed=np.zeros(cells.size, dtype=bool), no_overlap=0, tested=0)
         yield from super()._leaf_hits(state, leaves)
         state["no_overlap"] += int(cells[~state["windowed"]].sum())
 
-    def _screen(
-        self, state: dict, base: int, b_pos: np.ndarray, a_pos: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The block's cells whose encoded ID lies in the window
-        ``[encoded_Min, encoded_Max]`` and whose every part lies in its
-        range; marks the leaves that hold a window-passing cell."""
-        encoded_id = state["encoded_id"][b_pos]
-        window = np.flatnonzero(
-            (encoded_id >= state["encoded_min"][a_pos])
-            & (encoded_id <= state["encoded_max"][a_pos])
-        )
-        leaf = np.searchsorted(state["ends"], base + window, side="right")
-        state["windowed"][leaf] = True
+    def _tile_cells(
+        self,
+        state: dict,
+        leaf: np.ndarray,
+        rows_b: np.ndarray,
+        rows_a: np.ndarray,
+        real: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The tile's real cells whose encoded ID lies in the window
+        ``[encoded_Min, encoded_Max]``, tested on the whole tile, and
+        then whose every part lies in its range; no dimension is tested
+        yet.  Marks the leaves that hold a window-passing cell."""
+        encoded_id = state["encoded_id"][rows_b][:, :, None]
+        window = encoded_id >= state["encoded_min"][rows_a][:, None, :]
+        window &= encoded_id <= state["encoded_max"][rows_a][:, None, :]
+        window &= real
+        state["windowed"][leaf[window.any(axis=(1, 2))]] = True
+        flat, b_pos, a_pos = _tile_positions(window, rows_b, rows_a)
         b_pos, a_pos = parts_inside(
-            state["parts"], state["range_min"], state["range_max"], b_pos[window], a_pos[window]
+            state["parts"], state["range_min"], state["range_max"], b_pos, a_pos
         )
-        state["no_overlap"] += window.size - b_pos.size
+        state["no_overlap"] += flat.size - b_pos.size
         state["tested"] += b_pos.size
-        return b_pos, a_pos
+        return b_pos, a_pos, np.zeros(b_pos.size, dtype=state["columns_b"].dtype)
 
 
 class ApHybrid(_Hybrid, ApSuperEGO):

@@ -18,7 +18,8 @@ Checks:
 4. Hopcroft–Karp never returns fewer pairs than CSF;
 5. no approximate method beats the exact maximum;
 6. normalised SuperEGO never beats the exact maximum;
-7. raw-mode Ex-SuperEGO agrees with Ex-Baseline;
+7. raw-mode Ex-SuperEGO picks Ex-Baseline's pairs in order, also with
+   the whole couple as one leaf (``t`` above both sides' sizes);
 8. the MinMax encoding filters pass every brute-force match (on small
    couples where the exhaustive check is affordable);
 9. one batch of Ap- or Ex-MinMax joins (``join_many``) over the couple,
@@ -168,16 +169,22 @@ def run_selfcheck(
             )
         )
 
-    # 7: raw-mode SuperEGO equals the exact baseline.
-    raw_superego = get_algorithm(
-        "ex-superego", epsilon, use_normalized=False
-    ).join(community_b, community_a)
-    outcomes.append(
-        CheckOutcome(
-            name="ex-superego (raw mode) == ex-baseline",
-            passed=raw_superego.n_matched == results["ex-baseline"].n_matched,
+    # 7: raw-mode SuperEGO picks the exact baseline's pairs, in order:
+    # at the default t, and at a t above both sides' sizes, where the
+    # whole couple is one leaf (on a full-size couple, one that SuperEGO
+    # cuts into several leaf tiles).
+    one_leaf = 1 + max(community_b.n_users, community_a.n_users)
+    for label, options in (("", {}), (", one leaf", {"t": one_leaf})):
+        raw_superego = get_algorithm(
+            "ex-superego", epsilon, use_normalized=False, **options
+        ).join(community_b, community_a)
+        outcomes.append(
+            CheckOutcome(
+                name=f"ex-superego (raw mode{label}) == ex-baseline, pair for pair",
+                passed=raw_superego.pair_tuples() == results["ex-baseline"].pair_tuples(),
+                detail=f"{raw_superego.n_matched} pairs",
+            )
         )
-    )
 
     # 7b: the Section 6.2 hybrid equals the exact baseline too.
     outcomes.append(

@@ -4,7 +4,7 @@ The vocabulary follows Section 3 of the paper:
 
 * a :class:`Community` is a brand page with a set of subscribers, each
   represented as a d-dimensional vector of aggregate per-category
-  counters;
+  counters, and its memoised per-dimension :class:`Envelope`;
 * a CSJ run produces a :class:`CSJResult` holding the matched one-to-one
   user pairs, the similarity score of Eq. (1), the per-event counters of
   Section 4 and the wall-clock time.
@@ -12,6 +12,7 @@ The vocabulary follows Section 3 of the paper:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -19,7 +20,14 @@ import numpy as np
 
 from .errors import ValidationError
 
-__all__ = ["Community", "EventCounts", "MatchedPair", "CSJResult"]
+__all__ = [
+    "Community",
+    "Envelope",
+    "community_envelope",
+    "EventCounts",
+    "MatchedPair",
+    "CSJResult",
+]
 
 
 def as_counter_matrix(vectors: object) -> np.ndarray:
@@ -113,6 +121,51 @@ class Community:
             f"Community(name={self.name!r}, users={self.n_users}, "
             f"dims={self.n_dims}, category={self.category!r})"
         )
+
+
+#: Instance-level memo attribute of :func:`community_envelope`.
+_ENVELOPE_CACHE_ATTR = "_envelope_cache"
+
+
+@dataclass(frozen=True)
+class Envelope:
+    """Per-dimension value bounds of one community's user vectors."""
+
+    mins: np.ndarray  # shape (d,), int64
+    maxs: np.ndarray  # shape (d,), int64
+
+    @property
+    def n_dims(self) -> int:
+        return int(self.mins.shape[0])
+
+    @functools.cached_property
+    def largest(self) -> int:
+        """The largest counter over every dimension, computed once."""
+        return int(self.maxs.max())
+
+
+def community_envelope(community: Community) -> Envelope:
+    """The per-dimension min/max envelope of a community (memoised).
+
+    Envelopes are epsilon-independent and a community's vectors are
+    frozen read-only at construction, so the envelope is computed once
+    and stashed on the instance — sweeps touching the same community at
+    many epsilons (or many engines sharing a catalog) pay the O(n*d)
+    scan a single time.  ``dataclasses.replace`` builds fresh instances,
+    so a mutated copy never inherits a stale envelope.
+    """
+    cached = community.__dict__.get(_ENVELOPE_CACHE_ATTR)
+    if cached is not None:
+        return cached
+    vectors = community.vectors
+    envelope = Envelope(
+        mins=vectors.min(axis=0).astype(np.int64, copy=False),
+        maxs=vectors.max(axis=0).astype(np.int64, copy=False),
+    )
+    # Community is a frozen dataclass; the memo is not a field, so
+    # object.__setattr__ is the sanctioned back door.
+    object.__setattr__(community, _ENVELOPE_CACHE_ATTR, envelope)
+    return envelope
 
 
 @dataclass

@@ -19,12 +19,11 @@ and Eq. (1) evaluates to 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from ..core.types import Community
+from ..core.types import Envelope, community_envelope
 from ..core.validation import validate_epsilon
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -39,49 +38,10 @@ __all__ = [
     "candidate_pairs",
 ]
 
-#: Instance-level memo attribute of :func:`community_envelope`.
-_ENVELOPE_CACHE_ATTR = "_envelope_cache"
-
 #: Most candidate pairs :func:`surviving_pairs` expands and tests at once.
 _SWEEP_BLOCK_PAIRS = 1 << 15
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
-
-
-@dataclass(frozen=True)
-class Envelope:
-    """Per-dimension value bounds of one community's user vectors."""
-
-    mins: np.ndarray  # shape (d,), int64
-    maxs: np.ndarray  # shape (d,), int64
-
-    @property
-    def n_dims(self) -> int:
-        return int(self.mins.shape[0])
-
-
-def community_envelope(community: Community) -> Envelope:
-    """The per-dimension min/max envelope of a community (memoised).
-
-    Envelopes are epsilon-independent and a community's vectors are
-    frozen read-only at construction, so the envelope is computed once
-    and stashed on the instance — sweeps touching the same community at
-    many epsilons (or many engines sharing a catalog) pay the O(n*d)
-    scan a single time.  ``dataclasses.replace`` builds fresh instances,
-    so a mutated copy never inherits a stale envelope.
-    """
-    cached = community.__dict__.get(_ENVELOPE_CACHE_ATTR)
-    if cached is not None:
-        return cached
-    vectors = community.vectors
-    envelope = Envelope(
-        mins=vectors.min(axis=0).astype(np.int64, copy=False),
-        maxs=vectors.max(axis=0).astype(np.int64, copy=False),
-    )
-    # Community is a frozen dataclass; the memo is not a field, so
-    # object.__setattr__ is the sanctioned back door.
-    object.__setattr__(community, _ENVELOPE_CACHE_ATTR, envelope)
-    return envelope
 
 
 def stack_envelopes(

@@ -22,11 +22,11 @@ from tests.conftest import (
     maximum_matching_size,
     random_couple,
 )
-from tests.test_superego import _paper_couples, _python_join
+from tests.test_superego import LEAF_CAPS, _paper_couples, _python_join, leaf_cap
 
-#: Leaf-block caps: the default, and caps that split leaves across
-#: blocks (the NO OVERLAP rule is per leaf).
-BLOCKS = [None, 1, 7]
+#: Leaf caps: the default, caps that split leaves across tiles (the NO
+#: OVERLAP rule is per leaf), and caps around one padded leaf.
+BLOCKS = [None, 1, 7, *LEAF_CAPS]
 
 
 def couple(seed: int) -> tuple[Community, Community]:
@@ -119,17 +119,19 @@ class TestApHybrid:
 
 class TestRawSuperEGOParity:
     """The encoded screen only drops cells that cannot match, so each
-    hybrid returns raw SuperEGO's pairs, in order, whatever the block
-    size; the python engine (raw SuperEGO's recursion) is the oracle."""
+    hybrid returns raw SuperEGO's pairs, in order, whatever the leaf
+    cap; the python engine (raw SuperEGO's recursion) is the oracle."""
 
     VARIANTS = [(ApHybrid, ApSuperEGO), (ExHybrid, ExSuperEGO)]
 
     @pytest.mark.parametrize("block", BLOCKS)
     @pytest.mark.parametrize("t", [2, 3, 64])
     def test_paper_couples(self, monkeypatch, t, block):
-        if block is not None:
-            monkeypatch.setattr(superego, "_LEAF_BLOCK_CELLS", block)
         for index, (first, second) in enumerate(_paper_couples()):
+            if block is not None:
+                monkeypatch.setattr(
+                    superego, "_LEAF_BLOCK_CELLS", leaf_cap(block, first, second, t, False)
+                )
             for hybrid, raw in self.VARIANTS:
                 python = _python_join(raw, index, t, False)
                 numpy_ = hybrid(1, t=t).join(first, second)
@@ -214,8 +216,8 @@ class TestHybridSpeedClaim:
 class TestPinnedResults:
     """The hybrid's pairs and event counts on two seeded VK couples are
     pinned: the values the per-leaf recursion produced before the shared
-    level-by-level walk replaced it.  Small leaf blocks split a leaf
-    across blocks, which its NO OVERLAP count must not notice."""
+    level-by-level walk replaced it.  Small leaf caps split a leaf
+    across tiles, which its NO OVERLAP count must not notice."""
 
     # (couple, t, class, matched, min_prune, no_overlap, no_match, match,
     #  sha256 prefix of the JSON pair list)
@@ -255,10 +257,9 @@ class TestPinnedResults:
     ):
         from repro.datasets import PAPER_COUPLES, VKGenerator, build_couple
 
-        if block is not None:
-            monkeypatch.setattr(superego, "_LEAF_BLOCK_CELLS", block)
-
         b, a = build_couple(PAPER_COUPLES[couple], VKGenerator(seed=11), scale=1 / 256)
+        if block is not None:
+            monkeypatch.setattr(superego, "_LEAF_BLOCK_CELLS", leaf_cap(block, b, a, t, False))
         result = cls(1, t=t).join(b, a)
         pairs = json.dumps(result.pair_tuples()).encode()
         assert hashlib.sha256(pairs).hexdigest()[:16] == digest

@@ -41,6 +41,8 @@ class TestRunSelfCheck:
         assert "array csf == dict csf, pick for pick" in names
         assert "CSF segmentation" in names
         assert "hopcroft-karp >= csf" in names
+        assert "ex-superego (raw mode) == ex-baseline, pair for pair" in names
+        assert "ex-superego (raw mode, one leaf) == ex-baseline, pair for pair" in names
         assert "brute-force match" in names
 
     def test_render_mentions_verdict(self, report):
