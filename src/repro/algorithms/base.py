@@ -28,12 +28,16 @@ import numpy as np
 
 from ..core.errors import ConfigurationError
 from ..core.events import EventTrace
-from ..core.types import Community, CSJResult, EventCounts, MatchedPair, community_envelope
+from ..core.types import Community, CSJResult, EventCounts, community_envelope, pairs_from_tuples
 from ..core.validation import validate_epsilon, validate_pair
 
 __all__ = ["CSJAlgorithm", "ENGINES"]
 
 ENGINES = ("python", "numpy")
+
+#: An engine's matching: ``(pairs_b, pairs_a)`` id arrays that the
+#: engine owns, as every numpy engine returns, or ``(b, a)`` tuples.
+Picks = tuple[np.ndarray, np.ndarray] | list[tuple[int, int]]
 
 
 def largest_counter(community_b: Community, community_a: Community) -> int:
@@ -123,14 +127,14 @@ class CSJAlgorithm(abc.ABC):
                 kernel = self._bounded(community_b, community_a)
             started = time.perf_counter()
             with trace.stage("pairing"):
-                pairs = kernel._join(community_b, community_a, trace)
+                picks = kernel._join(community_b, community_a, trace)
             elapsed = time.perf_counter() - started
         self.last_trace = trace
         return self._result(
             community_b,
             community_a,
             swapped,
-            pairs,
+            picks,
             trace.counts,
             elapsed,
             trace.stage_seconds,
@@ -166,13 +170,23 @@ class CSJAlgorithm(abc.ABC):
         community_b: Community,
         community_a: Community,
         swapped: bool,
-        pairs: list[tuple[int, int]],
+        picks: Picks,
         events: EventCounts,
         elapsed: float,
         stage_seconds: dict[str, float],
     ) -> CSJResult:
         """Package one oriented pair's matching, counting the join in
-        :attr:`metrics` when a registry is attached."""
+        :attr:`metrics` when a registry is attached.
+
+        Picks given as arrays become the result's, frozen in place; a
+        tuple list is converted here.
+        """
+        if isinstance(picks, list):
+            pairs_b, pairs_a = pairs_from_tuples(picks)
+        else:
+            pairs_b, pairs_a = picks
+            pairs_b.setflags(write=False)
+            pairs_a.setflags(write=False)
         if self.metrics is not None:
             self.metrics.inc(
                 "repro_algo_joins_total", 1, method=self.name, engine=self.engine
@@ -184,7 +198,8 @@ class CSJAlgorithm(abc.ABC):
             size_b=community_b.n_users,
             size_a=community_a.n_users,
             epsilon=self.epsilon,
-            pairs=[MatchedPair(int(b), int(a)) for b, a in pairs],
+            pairs_b=pairs_b,
+            pairs_a=pairs_a,
             events=events,
             elapsed_seconds=elapsed,
             engine=self.engine,
@@ -211,7 +226,7 @@ class CSJAlgorithm(abc.ABC):
 
     def _join(
         self, community_b: Community, community_a: Community, trace: EventTrace
-    ) -> list[tuple[int, int]]:
+    ) -> Picks:
         """Pair the oriented communities with the configured engine.
 
         MinMax overrides this hook to hand its engines the memoised
@@ -223,13 +238,13 @@ class CSJAlgorithm(abc.ABC):
     @abc.abstractmethod
     def _join_python(
         self, vectors_b: np.ndarray, vectors_a: np.ndarray, trace: EventTrace
-    ) -> list[tuple[int, int]]:
+    ) -> Picks:
         """Faithful reference engine; must emit pairing events."""
 
     @abc.abstractmethod
     def _join_numpy(
         self, vectors_b: np.ndarray, vectors_a: np.ndarray, trace: EventTrace
-    ) -> list[tuple[int, int]]:
+    ) -> Picks:
         """Vectorised engine returning the identical matching."""
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -27,7 +27,7 @@ from ..core.matching import (
     linf_match_mask,
     match_edges,
 )
-from .base import CSJAlgorithm
+from .base import CSJAlgorithm, Picks
 
 __all__ = ["ApBaseline", "ExBaseline"]
 
@@ -63,11 +63,12 @@ class ApBaseline(CSJAlgorithm):
 
     def _join_numpy(
         self, vectors_b: np.ndarray, vectors_a: np.ndarray, trace: EventTrace
-    ) -> list[tuple[int, int]]:
+    ) -> Picks:
         n_a = len(vectors_a)
         used_a = np.zeros(n_a, dtype=bool)
         offset = 0
-        pairs: list[tuple[int, int]] = []
+        # Per b, the a it took (-1: none).
+        picked = np.full(len(vectors_b), -1)
         for b_index, vector_b in enumerate(vectors_b):
             while offset < n_a and used_a[offset]:
                 offset += 1
@@ -82,13 +83,14 @@ class ApBaseline(CSJAlgorithm):
                     EventType.NO_MATCH, int(np.count_nonzero(~used_a[offset:a_index]))
                 )
                 used_a[a_index] = True
-                pairs.append((b_index, a_index))
+                picked[b_index] = a_index
                 trace.emit_bulk(EventType.MATCH, 1)
             else:
                 trace.emit_bulk(
                     EventType.NO_MATCH, int(np.count_nonzero(~used_a[offset:]))
                 )
-        return pairs
+        chosen = np.flatnonzero(picked >= 0)
+        return chosen, picked[chosen]
 
 
 class ExBaseline(CSJAlgorithm):
@@ -132,7 +134,7 @@ class ExBaseline(CSJAlgorithm):
 
     def _join_numpy(
         self, vectors_b: np.ndarray, vectors_a: np.ndarray, trace: EventTrace
-    ) -> list[tuple[int, int]]:
+    ) -> Picks:
         with trace.stage("enumerate"):
             rows_b, rows_a = candidate_edges(
                 vectors_b,
@@ -144,10 +146,9 @@ class ExBaseline(CSJAlgorithm):
         trace.emit_bulk(EventType.MATCH, rows_b.size)
         trace.emit_bulk(EventType.NO_MATCH, len(vectors_b) * len(vectors_a) - rows_b.size)
         if not rows_b.size:
-            return []
+            return rows_b, rows_a
         with trace.stage("matching"):
-            picked_b, picked_a = match_edges(rows_b, rows_a, self.matcher_name)
-            return list(zip(picked_b.tolist(), picked_a.tolist()))
+            return match_edges(rows_b, rows_a, self.matcher_name)
 
     def _select(
         self, raw_pairs: list[tuple[int, int]], trace: EventTrace

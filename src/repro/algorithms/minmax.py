@@ -52,7 +52,7 @@ from ..core.events import EventTrace, EventType
 from ..core.matching import get_matcher, linf_match, match_edges
 from ..core.types import Community, CSJResult, EventCounts
 from ..core.validation import validate_pair
-from .base import CSJAlgorithm
+from .base import CSJAlgorithm, Picks
 
 __all__ = ["ApMinMax", "ExMinMax"]
 
@@ -67,8 +67,9 @@ _BAND_USERS = 1024
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
-#: One pair's numpy-engine outcome: its matching and its events.
-_Paired = tuple[list[tuple[int, int]], EventCounts]
+#: One pair's numpy-engine outcome: its ``(b, a)`` id arrays and its
+#: events.
+_Paired = tuple[tuple[np.ndarray, np.ndarray], EventCounts]
 
 
 def _end_to_end(arrays: list[np.ndarray]) -> np.ndarray:
@@ -94,10 +95,11 @@ def parts_inside(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The ``(b_pos, a_pos)`` cells each of whose part sums lies inside
     its range, in order; the by-part ``(p, n)`` arrays are tested one
-    part at a time on the previous part's survivors."""
+    part at a time on the previous part's survivors, which are
+    compacted by gathering at their indices."""
     for part, low, high in zip(parts, range_min, range_max):
         inside = part[b_pos]
-        inside = (inside >= low[a_pos]) & (inside <= high[a_pos])
+        inside = np.flatnonzero((inside >= low[a_pos]) & (inside <= high[a_pos]))
         b_pos, a_pos = b_pos[inside], a_pos[inside]
     return b_pos, a_pos
 
@@ -261,22 +263,26 @@ class _Band:
 
     def split(
         self, rows_b: np.ndarray, rows_a: np.ndarray
-    ) -> Iterator[list[tuple[int, int]]]:
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Per pair, in pair order, the pairs of global rows ``(rows_b,
-        rows_a)`` that belong to it, as its own ``(b, a)`` ids and in
+        rows_a)`` that belong to it, as its own ``b`` and ``a`` ids in
         their order here.  Pair ``k``'s rows span its positions, so
-        ``pair_of_b`` names a row's pair too."""
+        ``pair_of_b`` names a row's pair too.  A batch's pairs get
+        read-only slices of one array of ids; a batch of one gets the
+        arrays it gave."""
         if self.n_pairs == 1:
-            yield list(zip(rows_b.tolist(), rows_a.tolist()))
+            yield rows_b, rows_a
             return
         pair = self.pair_of_b[rows_b]
         order = np.argsort(pair, kind="stable")
         pair = pair[order]
-        rows_b = (rows_b[order] - self.b_start[pair]).tolist()
-        rows_a = (rows_a[order] - self.a_start[pair]).tolist()
+        ids = np.stack(
+            [rows_b[order] - self.b_start[pair], rows_a[order] - self.a_start[pair]]
+        )
+        ids.setflags(write=False)
         bounds = np.searchsorted(pair, np.arange(self.n_pairs + 1)).tolist()
         for first, stop in zip(bounds, bounds[1:]):
-            yield list(zip(rows_b[first:stop], rows_a[first:stop]))
+            yield ids[0, first:stop], ids[1, first:stop]
 
 
 class _MinMaxBase(CSJAlgorithm):
@@ -357,14 +363,14 @@ class _MinMaxBase(CSJAlgorithm):
 
     def _join(
         self, community_b: Community, community_a: Community, trace: EventTrace
-    ) -> list[tuple[int, int]]:
+    ) -> Picks:
         if self.engine == "numpy":
-            [(pairs, events)] = self._pair_batch(
+            [(picks, events)] = self._pair_batch(
                 [(community_b, community_a)], [self.epsilon], trace
             )
             trace.emit_bulk(EventType.MATCH, events.match)
             trace.emit_bulk(EventType.NO_MATCH, events.no_match)
-            return pairs
+            return picks
         with trace.stage("encode"):
             encoder = self._encoder(community_b.n_dims)
             targets = encoder.targets_of(community_b)
@@ -521,8 +527,8 @@ class ApMinMax(_MinMaxBase):
         with trace.stage("matching"):
             chosen = np.flatnonzero(picked < n_a)
             return [
-                (pairs, EventCounts(no_match=missed, match=len(pairs)))
-                for pairs, missed in zip(
+                (picks, EventCounts(no_match=missed, match=picks[0].size))
+                for picks, missed in zip(
                     band.split(band.b_rows[chosen], band.a_rows[picked[chosen]]),
                     no_match.tolist(),
                 )
@@ -672,6 +678,8 @@ class ExMinMax(_MinMaxBase):
             found = np.zeros(band.n_pairs, dtype=np.int64)
             found += band.per_pair(hit_b)
             return [
-                (pairs, EventCounts(no_match=scanned - matched, match=matched))
-                for pairs, scanned, matched in zip(picks, examined.tolist(), found.tolist())
+                (pair_picks, EventCounts(no_match=scanned - matched, match=matched))
+                for pair_picks, scanned, matched in zip(
+                    picks, examined.tolist(), found.tolist()
+                )
             ]

@@ -61,7 +61,7 @@ from ..core.errors import ConfigurationError
 from ..core.events import EventTrace, EventType
 from ..core.matching import build_adjacency, get_matcher, linf_match_mask, match_edges
 from ..core.types import Community
-from .base import CSJAlgorithm, largest_counter
+from .base import CSJAlgorithm, Picks, largest_counter
 
 __all__ = ["ApSuperEGO", "ExSuperEGO", "ego_order", "ego_sort", "ego_walk", "grid_cells"]
 
@@ -443,7 +443,7 @@ class _SuperEGOBase(CSJAlgorithm):
     # -- numpy engine: level-by-level walk + leaf tiles ------------------
     def _join(
         self, community_b: Community, community_a: Community, trace: EventTrace
-    ) -> list[tuple[int, int]]:
+    ) -> Picks:
         """Both engines receive the communities, whose memoised envelopes
         give the largest counter."""
         engine = self._join_python if self.engine == "python" else self._join_numpy
@@ -619,9 +619,9 @@ class _SuperEGOBase(CSJAlgorithm):
         rows_a: np.ndarray,
         vectors_b: np.ndarray,
         vectors_a: np.ndarray,
-    ) -> list[tuple[int, int]]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """The matched pairs ``(rows_b[k], rows_a[k])``, in order, that
-        satisfy the true per-dimension condition.
+        satisfy the true per-dimension condition, as two id arrays.
 
         The method matched them under its aggregate condition, but only
         genuinely similar pairs count towards Eq. (1); users consumed by
@@ -634,7 +634,7 @@ class _SuperEGOBase(CSJAlgorithm):
                 axis=1
             )
             rows_b, rows_a = rows_b[keep], rows_a[keep]
-        return list(zip(rows_b.tolist(), rows_a.tolist()))
+        return rows_b, rows_a
 
 
 class ApSuperEGO(_SuperEGOBase):
@@ -674,13 +674,13 @@ class ApSuperEGO(_SuperEGOBase):
 
     def _join_python(  # type: ignore[override]
         self, community_b: Community, community_a: Community, trace: EventTrace
-    ) -> list[tuple[int, int]]:
+    ) -> Picks:
         state = self._run(community_b, community_a, trace)
         return self._finish(state, state["pairs"], community_b.vectors, community_a.vectors)
 
     def _join_numpy(  # type: ignore[override]
         self, community_b: Community, community_a: Community, trace: EventTrace
-    ) -> list[tuple[int, int]]:
+    ) -> Picks:
         state, hits_b, hits_a, cells = self._collect(community_b, community_a, trace)
         with trace.stage("matching"):
             # First fit over the hits in the order the recursion tests
@@ -708,7 +708,7 @@ class ApSuperEGO(_SuperEGOBase):
         pairs: list[tuple[int, int]],
         vectors_b: np.ndarray,
         vectors_a: np.ndarray,
-    ) -> list[tuple[int, int]]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Map EGO-order pairs back to input rows and verify them."""
         rows = np.array(pairs, dtype=np.intp).reshape(-1, 2)
         return self._verify_pairs(
@@ -767,7 +767,7 @@ class ExSuperEGO(_SuperEGOBase):
 
     def _join_python(  # type: ignore[override]
         self, community_b: Community, community_a: Community, trace: EventTrace
-    ) -> list[tuple[int, int]]:
+    ) -> Picks:
         state = self._run(community_b, community_a, trace)
         if not state["pairs"]:
             return []
@@ -781,13 +781,13 @@ class ExSuperEGO(_SuperEGOBase):
 
     def _join_numpy(  # type: ignore[override]
         self, community_b: Community, community_a: Community, trace: EventTrace
-    ) -> list[tuple[int, int]]:
+    ) -> Picks:
         state, hits_b, hits_a, cells = self._collect(community_b, community_a, trace)
         with trace.stage("matching"):
-            pairs = self._verify_pairs(
+            picks = self._verify_pairs(
                 *match_edges(state["order_b"][hits_b], state["order_a"][hits_a], self.matcher_name),
                 community_b.vectors,
                 community_a.vectors,
             )
-        self._count(trace, cells, hits_b.size, len(pairs))
-        return pairs
+        self._count(trace, cells, hits_b.size, picks[0].size)
+        return picks

@@ -9,7 +9,9 @@ one call (CLI: ``repro-csj doctor``).
 Checks:
 
 1. every method, the two hybrids included, returns a one-to-one
-   matching of valid pairs;
+   matching of valid pairs (:func:`~repro.testing.validate_result`),
+   and its result survives a JSON round trip
+   (``from_dict(json.loads(json.dumps(to_dict())))`` equals it);
 2. the two engines of every method return the same matching (a
    hybrid's python engine is raw SuperEGO's recursion), and the numpy
    engines' array CSF picks what the python engines' dict CSF picks, in
@@ -29,14 +31,17 @@ Checks:
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..algorithms import ALL_METHODS, HYBRID_METHODS, get_algorithm
 from ..core.encoding import MinMaxEncoder
+from ..core.errors import ValidationError
 from ..core.matching import build_adjacency, candidate_edges, cover_smallest_first, match_edges
 from ..core.types import Community, CSJResult
+from ..testing import validate_result
 
 __all__ = ["CheckOutcome", "SelfCheckReport", "run_selfcheck"]
 
@@ -77,22 +82,6 @@ class SelfCheckReport:
         return "\n".join(lines)
 
 
-def _pairs_valid(
-    result: CSJResult, community_b: Community, community_a: Community, epsilon: int
-) -> bool:
-    b_side = [pair.b_index for pair in result.pairs]
-    a_side = [pair.a_index for pair in result.pairs]
-    if len(set(b_side)) != len(b_side) or len(set(a_side)) != len(a_side):
-        return False
-    for pair in result.pairs:
-        diff = np.abs(
-            community_b.vectors[pair.b_index] - community_a.vectors[pair.a_index]
-        )
-        if diff.max(initial=0) > epsilon:
-            return False
-    return True
-
-
 def run_selfcheck(
     community_b: Community, community_a: Community, *, epsilon: int
 ) -> SelfCheckReport:
@@ -109,11 +98,26 @@ def run_selfcheck(
             community_b, community_a
         )
         results[method] = numpy_result
+        swapped = numpy_result.swapped
+        oriented = (community_a, community_b) if swapped else (community_b, community_a)
+        try:
+            validate_result(numpy_result, *oriented)
+            invalid = ""
+        except ValidationError as error:
+            invalid = str(error)
         outcomes.append(
             CheckOutcome(
                 name=f"{method}: one-to-one matching of valid pairs",
-                passed=_pairs_valid(numpy_result, community_b, community_a, epsilon),
-                detail=f"{numpy_result.n_matched} pairs",
+                passed=not invalid,
+                detail=invalid or f"{numpy_result.n_matched} pairs",
+            )
+        )
+        encoded = json.dumps(numpy_result.to_dict())
+        outcomes.append(
+            CheckOutcome(
+                name=f"{method}: result == from_dict(its JSON)",
+                passed=CSJResult.from_dict(json.loads(encoded)) == numpy_result,
+                detail=f"{len(encoded):,} bytes",
             )
         )
         same = set(numpy_result.pair_tuples()) == set(python_result.pair_tuples())

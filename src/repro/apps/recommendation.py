@@ -70,16 +70,16 @@ class FriendRecommender:
     ) -> list[FriendSuggestion]:
         result = self._algorithm.join(community_b, community_a)
         suggestions = []
-        for pair in result.pairs:
+        for b_index, a_index in result.pair_tuples():
             message = (
-                f"user B#{pair.b_index} of {community_b.name!r} and "
-                f"user A#{pair.a_index} of {community_a.name!r} have "
+                f"user B#{b_index} of {community_b.name!r} and "
+                f"user A#{a_index} of {community_a.name!r} have "
                 "similar interests - suggest they follow each other"
             )
             suggestions.append(
                 FriendSuggestion(
-                    b_index=pair.b_index,
-                    a_index=pair.a_index,
+                    b_index=b_index,
+                    a_index=a_index,
                     community_b=community_b.name,
                     community_a=community_a.name,
                     message=message,

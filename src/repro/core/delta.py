@@ -62,7 +62,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .matching import enumerate_candidate_pairs
-from .types import Community, CSJResult, EventCounts, MatchedPair
+from .types import Community, CSJResult, EventCounts
 from .validation import validate_epsilon, validate_pair
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -240,26 +240,24 @@ class DeltaJoinMaintainer:
             no_match=self.size_b * self.size_a - self._n_edges,
         )
 
-    def matched_pairs(self) -> list[tuple[int, int]]:
-        """The maintained matching as sorted ``(b, a)`` row pairs."""
-        return sorted(
-            (b, a) for b, a in enumerate(self._match_of_b) if a != _FREE
-        )
-
     def result(self) -> CSJResult:
         """Package the maintained state as a :class:`CSJResult`.
 
         ``method``/``exact``/``similarity``/``events`` mirror the
         reference ``ExBaseline(matcher="hopcroft_karp")`` join;
-        ``engine`` is ``"delta"`` so provenance stays visible.
+        ``engine`` is ``"delta"`` so provenance stays visible.  The
+        pairs are the maintained matching in ``b`` order.
         """
+        match_of_b = np.array(self._match_of_b, dtype=np.int64)
+        pairs_b = np.flatnonzero(match_of_b != _FREE)
         return CSJResult(
             method="ex-baseline",
             exact=True,
             size_b=self.size_b,
             size_a=self.size_a,
             epsilon=self.epsilon,
-            pairs=[MatchedPair(b, a) for b, a in self.matched_pairs()],
+            pairs_b=pairs_b,
+            pairs_a=match_of_b[pairs_b],
             events=self.events,
             elapsed_seconds=self.stats.repair_seconds,
             engine="delta",

@@ -6,12 +6,13 @@ The vocabulary follows Section 3 of the paper:
   represented as a d-dimensional vector of aggregate per-category
   counters, and its memoised per-dimension :class:`Envelope`;
 * a CSJ run produces a :class:`CSJResult` holding the matched one-to-one
-  user pairs, the similarity score of Eq. (1), the per-event counters of
-  Section 4 and the wall-clock time.
+  user pairs as two read-only index arrays, the similarity score of
+  Eq. (1), the per-event counters of Section 4 and the wall-clock time.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -27,7 +28,23 @@ __all__ = [
     "EventCounts",
     "MatchedPair",
     "CSJResult",
+    "pairs_from_tuples",
 ]
+
+
+def _value_eq(self: object, other: object) -> bool:
+    """Field-by-field equality of two dataclasses of one type, array
+    fields compared by value (a generated ``__eq__`` raises on them)."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    for item in dataclasses.fields(self):  # type: ignore[arg-type]
+        mine, theirs = getattr(self, item.name), getattr(other, item.name)
+        if isinstance(mine, np.ndarray):
+            if not np.array_equal(mine, theirs):
+                return False
+        elif mine != theirs:
+            return False
+    return True
 
 
 def as_counter_matrix(vectors: object) -> np.ndarray:
@@ -127,12 +144,15 @@ class Community:
 _ENVELOPE_CACHE_ATTR = "_envelope_cache"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Envelope:
-    """Per-dimension value bounds of one community's user vectors."""
+    """Per-dimension value bounds of one community's user vectors;
+    envelopes are equal when their bounds are."""
 
     mins: np.ndarray  # shape (d,), int64
     maxs: np.ndarray  # shape (d,), int64
+
+    __eq__ = _value_eq
 
     @property
     def n_dims(self) -> int:
@@ -230,16 +250,44 @@ class MatchedPair:
         return (self.b_index, self.a_index)
 
 
-@dataclass
+def _read_only_ids(ids: object) -> np.ndarray:
+    """``ids`` as a read-only 1-D int64 array: a read-only int64 array
+    is kept as given, anything else becomes a read-only copy, so a
+    writeable array passed in is neither aliased nor frozen."""
+    if (
+        isinstance(ids, np.ndarray)
+        and ids.dtype == np.int64
+        and ids.ndim == 1
+        and not ids.flags.writeable
+    ):
+        return ids
+    array = np.array(ids, dtype=np.int64)
+    if array.ndim != 1:
+        raise ValidationError(f"pair ids must form a 1-D array, got ndim={array.ndim}")
+    array.setflags(write=False)
+    return array
+
+
+#: The empty matching's ids, which every empty result shares.
+_NO_IDS = _read_only_ids(())
+
+
+@dataclass(eq=False)
 class CSJResult:
     """Outcome of one CSJ join between communities ``B`` and ``A``.
 
-    ``similarity`` is Eq. (1): ``p * |matched| / |B|``; ``pairs`` holds
-    the matched ``(b_index, a_index)`` rows; ``events`` are the pairing
-    events observed by the algorithm (the numpy engines only account for
-    NO MATCH / MATCH since pruning happens in bulk); ``swapped`` records
-    whether the inputs were re-oriented so that ``B`` is the smaller
-    community, in which case pair indices refer to the *oriented* inputs.
+    ``similarity`` is Eq. (1): ``p * |matched| / |B|``.  Matched pair
+    ``k`` is ``(pairs_b[k], pairs_a[k])``: two read-only int64 arrays of
+    user rows, in the order the method picked them (empty by default;
+    any other input is copied into such an array).  ``pairs`` is a
+    :class:`MatchedPair` list built from them on first access and
+    memoised; :meth:`check_one_to_one` rejects a view edited out of
+    step with the arrays.  ``events`` are the pairing events observed
+    by the algorithm (the numpy engines only account for NO MATCH /
+    MATCH since pruning happens in bulk); ``swapped`` records whether
+    the inputs were re-oriented so that ``B`` is the smaller community,
+    in which case pair indices refer to the *oriented* inputs.  Results
+    are equal when every field is, the arrays compared by value.
     """
 
     method: str
@@ -247,7 +295,8 @@ class CSJResult:
     size_b: int
     size_a: int
     epsilon: int
-    pairs: list[MatchedPair] = field(default_factory=list)
+    pairs_b: np.ndarray = field(default_factory=lambda: _NO_IDS)
+    pairs_a: np.ndarray = field(default_factory=lambda: _NO_IDS)
     events: EventCounts = field(default_factory=EventCounts)
     elapsed_seconds: float = 0.0
     p: float = 1.0
@@ -257,9 +306,30 @@ class CSJResult:
     #: observability enabled; empty (and costless) otherwise.
     stage_seconds: dict[str, float] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        self.pairs_b = _read_only_ids(self.pairs_b)
+        self.pairs_a = _read_only_ids(self.pairs_a)
+        if self.pairs_b.size != self.pairs_a.size:
+            raise ValidationError(
+                f"pairs_b and pairs_a differ in length: "
+                f"{self.pairs_b.size} != {self.pairs_a.size}"
+            )
+
+    def __setstate__(self, state: dict[str, object]) -> None:
+        # Unpickled and deep-copied arrays come back writeable.
+        self.__dict__.update(state)
+        self.__post_init__()
+
+    __eq__ = _value_eq
+
+    @functools.cached_property
+    def pairs(self) -> list[MatchedPair]:
+        """The matched pairs as :class:`MatchedPair` objects, in order."""
+        return [MatchedPair(b, a) for b, a in self.pair_tuples()]
+
     @property
     def n_matched(self) -> int:
-        return len(self.pairs)
+        return self.pairs_b.size
 
     @property
     def similarity(self) -> float:
@@ -273,14 +343,27 @@ class CSJResult:
         return 100.0 * self.similarity
 
     def pair_tuples(self) -> list[tuple[int, int]]:
-        return [pair.as_tuple() for pair in self.pairs]
+        return list(zip(self.pairs_b.tolist(), self.pairs_a.tolist()))
 
     def check_one_to_one(self) -> None:
-        """Raise if any user participates in more than one pair."""
-        b_side = [pair.b_index for pair in self.pairs]
-        a_side = [pair.a_index for pair in self.pairs]
-        if len(set(b_side)) != len(b_side) or len(set(a_side)) != len(a_side):
-            raise ValidationError(f"{self.method}: matching is not one-to-one")
+        """Raise if the memoised ``pairs`` view no longer agrees with the
+        arrays, or if any user participates in more than one pair."""
+        view = self.__dict__.get("pairs")
+        if view is not None and view != [MatchedPair(b, a) for b, a in self.pair_tuples()]:
+            raise ValidationError(f"{self.method}: pairs no longer agree with pairs_b/pairs_a")
+        for ids in (self.pairs_b, self.pairs_a):
+            if np.unique(ids).size != ids.size:
+                raise ValidationError(f"{self.method}: matching is not one-to-one")
+
+    def detached(self) -> "CSJResult":
+        """A copy over the same read-only arrays with its own ``events``,
+        ``stage_seconds`` and ``swapped`` flag and no ``pairs`` view, so
+        no edit of one reaches the other."""
+        return dataclasses.replace(
+            self,
+            events=dataclasses.replace(self.events),
+            stage_seconds=dict(self.stage_seconds),
+        )
 
     def summary(self) -> str:
         """One-line summary in the style of the paper's result tables."""
@@ -316,13 +399,15 @@ class CSJResult:
         against the recomputed Eq. (1) value.
         """
         events = EventCounts(**payload.get("events", {}))  # type: ignore[arg-type]
+        pairs_b, pairs_a = pairs_from_tuples(payload.get("pairs", []))  # type: ignore[arg-type]
         result = cls(
             method=str(payload["method"]),
             exact=bool(payload["exact"]),
             size_b=int(payload["size_b"]),  # type: ignore[arg-type]
             size_a=int(payload["size_a"]),  # type: ignore[arg-type]
             epsilon=int(payload["epsilon"]),  # type: ignore[arg-type]
-            pairs=[MatchedPair(int(b), int(a)) for b, a in payload.get("pairs", [])],
+            pairs_b=pairs_b,
+            pairs_a=pairs_a,
             events=events,
             elapsed_seconds=float(payload.get("elapsed_seconds", 0.0)),  # type: ignore[arg-type]
             p=float(payload.get("p", 1.0)),  # type: ignore[arg-type]
@@ -341,6 +426,14 @@ class CSJResult:
         return result
 
 
-def pairs_from_tuples(tuples: Iterable[tuple[int, int]]) -> list[MatchedPair]:
-    """Convenience converter used by the algorithm engines."""
-    return [MatchedPair(int(b), int(a)) for b, a in tuples]
+def pairs_from_tuples(tuples: Iterable[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """``(b, a)`` pairs as read-only ``(pairs_b, pairs_a)`` arrays, in
+    order: how a tuple list becomes a :class:`CSJResult`'s matching."""
+    ids = np.array(list(tuples), dtype=np.int64)
+    if ids.size == 0:
+        ids = ids.reshape(0, 2)
+    if ids.ndim != 2 or ids.shape[1] != 2:
+        raise ValidationError(f"pairs must be (b, a) tuples, got shape {ids.shape}")
+    ids = ids.T.copy()
+    ids.setflags(write=False)
+    return ids[0], ids[1]

@@ -64,7 +64,6 @@ def screened_result(
         size_b=size_b,
         size_a=size_a,
         epsilon=int(epsilon),
-        pairs=[],
         events=EventCounts(),
         elapsed_seconds=0.0,
         engine=SCREEN_ENGINE,

@@ -7,13 +7,16 @@ results keyed by ``(fingerprint(B), fingerprint(A), epsilon, method,
 options)`` — content fingerprints, not object identities, so hits
 survive regeneration of identical data and cross process boundaries.
 
-The cache stores the JSON-style payload of
-:meth:`~repro.core.types.CSJResult.to_dict` rather than the live object.
-Payloads never leave the cache: each hit is rebuilt by
-:meth:`~repro.core.types.CSJResult.from_dict` into a fresh ``CSJResult``
-with its own pairs, event counters and stage timings, so callers can
-never corrupt a cached entry.  Entries are bounded by an LRU policy
-and the cache keeps hit/miss/eviction counters for observability.
+The cache stores results themselves, never encoded payloads: a join
+result's matching lives in two read-only arrays
+(:attr:`~repro.core.types.CSJResult.pairs_b` /
+:attr:`~repro.core.types.CSJResult.pairs_a`) that entries and hits
+share.  ``put`` keeps a detached shell of the result and each hit is
+another (:meth:`~repro.core.types.CSJResult.detached`), with its own
+event counters, stage timings and ``swapped`` flag and no memoised
+``pairs`` view, so callers can never corrupt a cached entry and neither
+call encodes or decodes.  Entries are bounded by an LRU policy and the
+cache keeps hit/miss/eviction counters for observability.
 
 The cache is **thread-safe**: the similarity service shares one cache
 between executor threads serving concurrent requests, so every entry
@@ -88,7 +91,12 @@ def join_key(
 
 
 class JoinResultCache:
-    """Bounded LRU cache mapping :data:`JoinKey` to result payloads.
+    """Bounded LRU cache mapping :data:`JoinKey` to detached results.
+
+    ``put`` stores a shell of the result and ``get`` returns a fresh one
+    over the same read-only pair arrays (see the module docstring), so
+    neither a later edit of the stored result nor an edit of a hit
+    reaches the entry.
 
     ``metrics`` (assignable after construction too) mirrors the hit /
     miss / eviction counters into a
@@ -115,7 +123,7 @@ class JoinResultCache:
                 f"cache max_entries must be >= 1, got {max_entries}"
             )
         self.max_entries = int(max_entries)
-        self._entries: OrderedDict[JoinKey, dict] = OrderedDict()
+        self._entries: OrderedDict[JoinKey, CSJResult] = OrderedDict()
         self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0
@@ -133,8 +141,8 @@ class JoinResultCache:
     def get(self, key: JoinKey) -> CSJResult | None:
         """Look up a join result, counting the hit or miss."""
         with self._lock:
-            payload = self._entries.get(key)
-            if payload is None:
+            entry = self._entries.get(key)
+            if entry is None:
                 self.misses += 1
                 if self.metrics is not None:
                     self.metrics.inc("repro_engine_cache_misses_total")
@@ -143,13 +151,13 @@ class JoinResultCache:
             if self.metrics is not None:
                 self.metrics.inc("repro_engine_cache_hits_total")
             self._entries.move_to_end(key)
-        return CSJResult.from_dict(payload)
+        return entry.detached()
 
     def put(self, key: JoinKey, result: CSJResult) -> None:
         """Insert (or refresh) a result, evicting the LRU entry if full."""
-        payload = result.to_dict()
+        entry = result.detached()
         with self._lock:
-            self._entries[key] = payload
+            self._entries[key] = entry
             self._entries.move_to_end(key)
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)

@@ -31,7 +31,7 @@ import numpy as np
 
 from ..core.errors import ConfigurationError, ValidationError
 from ..core.matching import build_adjacency, get_matcher
-from ..core.types import Community, CSJResult, MatchedPair, as_counter_matrix
+from ..core.types import Community, CSJResult, as_counter_matrix, pairs_from_tuples
 
 __all__ = ["OnDiskCommunity", "out_of_core_similarity"]
 
@@ -270,13 +270,15 @@ def _out_of_core_similarity(
     else:
         selected = []
     elapsed = time.perf_counter() - started
+    pairs_b, pairs_a = pairs_from_tuples(selected)
     return CSJResult(
         method="out-of-core-minmax",
         exact=matcher != "greedy",
         size_b=disk_b.n_users,
         size_a=disk_a.n_users,
         epsilon=int(epsilon),
-        pairs=[MatchedPair(b, a) for b, a in selected],
+        pairs_b=pairs_b,
+        pairs_a=pairs_a,
         elapsed_seconds=elapsed,
         engine="numpy",
     )

@@ -26,7 +26,7 @@ import numpy as np
 from ..core.encoding import split_dimensions
 from ..core.errors import ConfigurationError
 from ..core.matching import build_adjacency, get_matcher
-from ..core.types import Community, CSJResult, MatchedPair
+from ..core.types import Community, CSJResult, pairs_from_tuples
 from ..core.validation import validate_pair
 
 __all__ = ["VectorEpsilonJoin", "vector_epsilon_similarity"]
@@ -104,13 +104,15 @@ class VectorEpsilonJoin:
         else:
             selected = []
         elapsed = time.perf_counter() - started
+        pairs_b, pairs_a = pairs_from_tuples(selected)
         return CSJResult(
             method=f"vector-epsilon-{self.strategy}",
             exact=self.matcher_name != "greedy",
             size_b=community_b.n_users,
             size_a=community_a.n_users,
             epsilon=int(self.epsilons.max()),
-            pairs=[MatchedPair(int(b), int(a)) for b, a in selected],
+            pairs_b=pairs_b,
+            pairs_a=pairs_a,
             elapsed_seconds=elapsed,
             swapped=swapped,
         )

@@ -98,8 +98,7 @@ def weighted_similarity(
     result = algorithm.join(first, second)
     oriented_b = second if result.swapped else first
     weight_vector = _weights(oriented_b, weights)
-    matched_rows = [pair.b_index for pair in result.pairs]
-    matched_weight = float(weight_vector[matched_rows].sum()) if matched_rows else 0.0
+    matched_weight = float(weight_vector[result.pairs_b].sum())
     total_weight = float(weight_vector.sum())
     scheme = weights if isinstance(weights, str) else "custom"
     return WeightedCSJResult(
@@ -123,7 +122,7 @@ def _optimal_weighted(
     import networkx as nx
 
     from ..core.matching import enumerate_candidate_pairs
-    from ..core.types import CSJResult, MatchedPair
+    from ..core.types import CSJResult, pairs_from_tuples
     from ..core.validation import validate_pair
 
     community_b, community_a, swapped = validate_pair(first, second)
@@ -138,12 +137,11 @@ def _optimal_weighted(
             ("b", b_index), ("a", a_index), weight=float(weight_vector[b_index])
         )
     matching = nx.max_weight_matching(graph)
-    pairs = []
-    for left, right in matching:
-        if left[0] == "a":
-            left, right = right, left
-        pairs.append(MatchedPair(int(left[1]), int(right[1])))
-    pairs.sort(key=lambda pair: pair.b_index)
+    pairs = sorted(
+        (left[1], right[1]) if left[0] == "b" else (right[1], left[1])
+        for left, right in matching
+    )
+    pairs_b, pairs_a = pairs_from_tuples(pairs)
     elapsed = time.perf_counter() - started
     result = CSJResult(
         method="weighted-optimal",
@@ -151,12 +149,12 @@ def _optimal_weighted(
         size_b=community_b.n_users,
         size_a=community_a.n_users,
         epsilon=int(epsilon),
-        pairs=pairs,
+        pairs_b=pairs_b,
+        pairs_a=pairs_a,
         elapsed_seconds=elapsed,
         swapped=swapped,
     )
-    matched_rows = [pair.b_index for pair in pairs]
-    matched_weight = float(weight_vector[matched_rows].sum()) if matched_rows else 0.0
+    matched_weight = float(weight_vector[pairs_b].sum())
     scheme = weights if isinstance(weights, str) else "custom"
     return WeightedCSJResult(
         base=result,

@@ -98,26 +98,30 @@ def validate_result(
 ) -> None:
     """Full validation of a result against its (oriented) inputs.
 
-    Checks one-to-one structure, the per-dimension condition, index
-    bounds and the Eq. (1) bookkeeping.  Raises
+    Checks that the memoised ``pairs`` view agrees with the pair arrays,
+    then one-to-one structure, index bounds and the per-dimension
+    condition on the arrays, and the Eq. (1) bookkeeping.  Raises
     :class:`~repro.core.errors.ValidationError` on the first violation.
     """
     result.check_one_to_one()
     if result.size_b != community_b.n_users or result.size_a != community_a.n_users:
         raise ValidationError("result sizes do not match the supplied communities")
-    for pair in result.pairs:
-        if not 0 <= pair.b_index < community_b.n_users:
-            raise ValidationError(f"b index {pair.b_index} out of range")
-        if not 0 <= pair.a_index < community_a.n_users:
-            raise ValidationError(f"a index {pair.a_index} out of range")
-        diff = np.abs(
-            community_b.vectors[pair.b_index] - community_a.vectors[pair.a_index]
-        ).max()
-        if diff > result.epsilon:
-            raise ValidationError(
-                f"pair ({pair.b_index}, {pair.a_index}) violates epsilon "
-                f"{result.epsilon}"
-            )
+    pairs_b, pairs_a = result.pairs_b, result.pairs_a
+    for side, ids, size in (
+        ("b", pairs_b, community_b.n_users),
+        ("a", pairs_a, community_a.n_users),
+    ):
+        outside = np.flatnonzero((ids < 0) | (ids >= size))
+        if outside.size:
+            raise ValidationError(f"{side} index {ids[outside[0]]} out of range")
+    diff = np.abs(community_b.vectors[pairs_b] - community_a.vectors[pairs_a])
+    violating = np.flatnonzero(diff.max(axis=1, initial=0) > result.epsilon)
+    if violating.size:
+        first = violating[0]
+        raise ValidationError(
+            f"pair ({pairs_b[first]}, {pairs_a[first]}) violates epsilon "
+            f"{result.epsilon}"
+        )
     if not 0.0 <= result.similarity <= 1.0:
         raise ValidationError(f"similarity {result.similarity} outside [0, 1]")
 

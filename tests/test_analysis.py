@@ -268,15 +268,14 @@ class TestPaperReference:
 
 class TestMetrics:
     def make_result(self, similarity_matched: int, elapsed: float) -> CSJResult:
-        from repro.core.types import pairs_from_tuples
-
         return CSJResult(
             method="m",
             exact=True,
             size_b=100,
             size_a=120,
             epsilon=1,
-            pairs=pairs_from_tuples([(i, i) for i in range(similarity_matched)]),
+            pairs_b=range(similarity_matched),
+            pairs_a=range(similarity_matched),
             elapsed_seconds=elapsed,
         )
 

@@ -30,7 +30,6 @@ def _result(index: int) -> CSJResult:
         size_b=4,
         size_a=4,
         epsilon=index % 3,
-        pairs=[],
     )
 
 

@@ -370,6 +370,26 @@ class TestJoinResultCache:
         hit.swapped = not hit.swapped
         assert cache.get(key).to_dict() == original
 
+    def test_puts_are_isolated(self):
+        """Editing a result after ``put`` never reaches the cached entry."""
+        b, a = banded_fleet(1, 2)
+        algorithm = get_algorithm("ex-minmax", 1)
+        algorithm.metrics = MetricsRegistry()
+        cache = JoinResultCache()
+        key = join_key("fingerprint-b", "fingerprint-a", 1, "ex-minmax")
+        result = algorithm.join(b, a)
+        original = result.to_dict()
+        assert result.pairs and result.events.match and result.stage_seconds
+        cache.put(key, result)
+        result.pairs.pop()
+        result.events.match += 7
+        result.stage_seconds["join"] = -1.0
+        result.swapped = not result.swapped
+        hit = cache.get(key)
+        assert hit.to_dict() == original
+        assert hit.pairs_b is result.pairs_b and not hit.pairs_b.flags.writeable
+        assert len(hit.pairs) == hit.n_matched
+
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ConfigurationError):
             JoinResultCache(max_entries=0)

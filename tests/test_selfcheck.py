@@ -38,6 +38,7 @@ class TestRunSelfCheck:
     def test_check_names_cover_the_battery(self, report):
         names = " ".join(outcome.name for outcome in report.outcomes)
         assert "engines agree" in names
+        assert "ex-minmax: result == from_dict(its JSON)" in names
         assert "array csf == dict csf, pick for pick" in names
         assert "CSF segmentation" in names
         assert "hopcroft-karp >= csf" in names
@@ -57,6 +58,19 @@ class TestRunSelfCheck:
     def test_synthetic_couple_passes(self, synthetic_mini_couple):
         community_b, community_a = synthetic_mini_couple
         assert run_selfcheck(community_b, community_a, epsilon=15000).passed
+
+    def test_an_invalid_matching_fails_check_one(self, monkeypatch):
+        from repro.analysis import selfcheck
+        from repro.core.errors import ValidationError
+
+        def reject(result, community_b, community_a):
+            raise ValidationError(f"{result.method}: rejected")
+
+        monkeypatch.setattr(selfcheck, "validate_result", reject)
+        vectors_b, vectors_a = random_couple(400)
+        report = run_selfcheck(Community("B", vectors_b), Community("A", vectors_a), epsilon=1)
+        check = next(o for o in report.outcomes if o.name.startswith("ex-minmax: one-to-one"))
+        assert not check.passed and check.detail == "ex-minmax: rejected"
 
     def test_brute_force_skipped_above_budget(self):
         rng = np.random.default_rng(0)

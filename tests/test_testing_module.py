@@ -7,7 +7,7 @@ import pytest
 
 from repro import csj_similarity
 from repro.core.errors import ValidationError
-from repro.core.types import Community, CSJResult, pairs_from_tuples
+from repro.core.types import Community, CSJResult
 from repro.testing import (
     assert_valid_matching,
     brute_force_candidate_pairs,
@@ -81,9 +81,32 @@ class TestValidateResult:
             size_b=community_b.n_users,
             size_a=community_a.n_users,
             epsilon=0,
-            pairs=pairs_from_tuples([(0, community_a.n_users + 5)]),
+            pairs_b=[0],
+            pairs_a=[community_a.n_users + 5],
         )
         with pytest.raises(ValidationError, match="out of range"):
+            validate_result(tampered, community_b, community_a)
+
+    def test_detects_an_edited_pairs_view(self):
+        community_b, community_a = self.make_pair()
+        result = csj_similarity(community_b, community_a, epsilon=1)
+        result.pairs.append(result.pairs[0])
+        with pytest.raises(ValidationError, match="no longer agree"):
+            validate_result(result, community_b, community_a)
+
+    def test_detects_a_violating_pair(self):
+        community_b, community_a = self.make_pair()
+        far = int(np.abs(community_b.vectors[0] - community_a.vectors).max(axis=1).argmax())
+        tampered = CSJResult(
+            method="fake",
+            exact=True,
+            size_b=community_b.n_users,
+            size_a=community_a.n_users,
+            epsilon=0,
+            pairs_b=[0],
+            pairs_a=[far],
+        )
+        with pytest.raises(ValidationError, match=f"pair \\(0, {far}\\) violates epsilon 0"):
             validate_result(tampered, community_b, community_a)
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,10 @@ from repro.core.errors import ValidationError
 from repro.core.types import (
     Community,
     CSJResult,
+    Envelope,
     EventCounts,
     MatchedPair,
+    community_envelope,
     pairs_from_tuples,
 )
 
@@ -130,13 +134,15 @@ class TestEventCounts:
 
 class TestCSJResult:
     def make_result(self, pairs, size_b=10, p=1.0):
+        pairs_b, pairs_a = pairs_from_tuples(pairs)
         return CSJResult(
             method="ex-minmax",
             exact=True,
             size_b=size_b,
             size_a=12,
             epsilon=1,
-            pairs=pairs_from_tuples(pairs),
+            pairs_b=pairs_b,
+            pairs_a=pairs_a,
             p=p,
         )
 
@@ -182,3 +188,26 @@ class TestMatchedPair:
         pair = MatchedPair(1, 2)
         with pytest.raises(AttributeError):
             pair.b_index = 9
+
+
+class TestEnvelopeEquality:
+    def make(self) -> Envelope:
+        return community_envelope(Community("x", np.array([[1, 5], [3, 2]])))
+
+    def test_pickled_round_trip_is_equal(self):
+        envelope = self.make()
+        assert envelope.largest == 5
+        assert (envelope == pickle.loads(pickle.dumps(envelope))) is True
+
+    def test_changed_maxs_is_unequal(self):
+        envelope = self.make()
+        changed = Envelope(envelope.mins, envelope.maxs + np.array([0, 1]))
+        assert (envelope == changed) is False
+        assert envelope != changed
+
+
+class TestPairsFromTuples:
+    def test_tuples_become_read_only_arrays_in_order(self):
+        pairs_b, pairs_a = pairs_from_tuples([(3, 1), (0, 2)])
+        assert pairs_b.tolist() == [3, 0] and pairs_a.tolist() == [1, 2]
+        assert pairs_b.dtype == np.int64 and not pairs_a.flags.writeable
