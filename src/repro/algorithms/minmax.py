@@ -29,7 +29,8 @@ The numpy engines replace the double loop with one vectorised band pass
 (``_Band``) that finds the same candidates in the same order, so both
 engines return identical matchings.  The pass runs over a batch of
 oriented pairs laid end to end (:meth:`_MinMaxBase.join_many`); a
-single join is a batch of one.
+single join is a batch of one.  :func:`band_edges` hands one pair's
+edges, at a scalar or per-dimension epsilon, to the other windowed joins.
 
 Both buffers are fetched from the memo on each community
 (:meth:`MinMaxEncoder.targets_of` and
@@ -52,9 +53,9 @@ from ..core.events import EventTrace, EventType
 from ..core.matching import get_matcher, linf_match, match_edges
 from ..core.types import Community, CSJResult, EventCounts
 from ..core.validation import validate_pair
-from .base import CSJAlgorithm, Picks
+from .base import CSJAlgorithm, Picks, largest_counter
 
-__all__ = ["ApMinMax", "ExMinMax"]
+__all__ = ["ApMinMax", "ExMinMax", "band_edges"]
 
 #: Most ``(b, a)`` band pairs the numpy engines expand at once, which
 #: bounds a band's working memory at about this many d-vectors.
@@ -114,16 +115,17 @@ class _Band:
     the same offsets.  Pairs are disjoint on both sides, so a global
     position names one user of one pair, and every per-pair step of a
     single join (windows, first fit, CSF) runs unchanged on global
-    positions.  All pairs share ``d``; each keeps its own capped epsilon.
+    positions.  All pairs share ``d``; each keeps its own capped epsilon,
+    an int or a tuple of ``d`` ints (:class:`MinMaxEncoder`'s two forms).
     """
 
     def __init__(
         self,
         oriented: Sequence[tuple[Community, Community]],
-        epsilons: Sequence[int],
+        epsilons: Sequence[int | tuple[int, ...]],
         n_parts: int,
     ) -> None:
-        encoders: dict[int, MinMaxEncoder] = {}
+        encoders: dict[int | tuple[int, ...], MinMaxEncoder] = {}
         targets: list[EncodedTargets] = []
         candidates: list[EncodedCandidates] = []
         for (community_b, community_a), epsilon in zip(oriented, epsilons):
@@ -150,12 +152,14 @@ class _Band:
         # pair's offset, so pair k's rows are b_start[k]:b_start[k + 1].
         self.b_rows = _end_to_end([buffer.real_ids for buffer in targets])
         self.a_rows = _end_to_end([buffer.real_ids for buffer in candidates])
-        self.epsilon: int | np.ndarray = epsilons[0]
+        self.epsilon: int | tuple[int, ...] | np.ndarray = epsilons[0]
         if self.n_pairs > 1:
             self.b_rows = self.b_rows + np.repeat(self.b_start[:-1], sizes_b)
             self.a_rows = self.a_rows + np.repeat(self.a_start[:-1], sizes_a)
             if len(encoders) > 1:
-                self.epsilon = np.repeat(np.array(epsilons, dtype=np.int64), sizes_b)
+                # Each b position's epsilon: an (n_b, 1) or (n_b, d) array.
+                per_pair = np.array(epsilons, dtype=np.int64).reshape(self.n_pairs, -1)
+                self.epsilon = np.repeat(per_pair, sizes_b, axis=0)
 
     @functools.cached_property
     def pair_of_b(self) -> np.ndarray:
@@ -252,8 +256,20 @@ class _Band:
             diff = np.abs(self.vectors_a[self.a_rows[a_pos]] - self.vectors_b[self.b_rows[b_pos]])
             epsilon = self.epsilon
             if isinstance(epsilon, np.ndarray):
-                epsilon = epsilon[b_pos, None]
+                epsilon = epsilon[b_pos]
             yield b_pos, a_pos, (diff <= epsilon).all(axis=1)
+
+    def hits(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The full-test hits' global ``(b_pos, a_pos)``, in scan order,
+        and how many part/range survivors each pair examined."""
+        hits_b: list[np.ndarray] = []
+        hits_a: list[np.ndarray] = []
+        examined = np.zeros(self.n_pairs, dtype=np.int64)
+        for b_pos, a_pos, full in self.blocks():
+            examined += self.per_pair(b_pos)
+            hits_b.append(b_pos[full])
+            hits_a.append(a_pos[full])
+        return _end_to_end(hits_b), _end_to_end(hits_a), examined
 
     def per_pair(self, positions: np.ndarray) -> np.ndarray | int:
         """How many of the global ``b`` positions fall in each pair."""
@@ -283,6 +299,28 @@ class _Band:
         bounds = np.searchsorted(pair, np.arange(self.n_pairs + 1)).tolist()
         for first, stop in zip(bounds, bounds[1:]):
             yield ids[0, first:stop], ids[1, first:stop]
+
+
+def band_edges(
+    community_b: Community,
+    community_a: Community,
+    epsilon: int | tuple[int, ...],
+    n_parts: int = 4,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every ``(b, a)`` pair within ``epsilon`` (an int or a tuple of
+    ``d`` ints) on each dimension, by one pair's band pass, as two int64
+    id arrays in ``(b, a)`` order.  Each dimension's epsilon is capped at
+    1 + the pair's largest counter, as ``_bounded`` caps a scalar."""
+    bound = 1 + largest_counter(community_b, community_a)
+    if isinstance(epsilon, tuple):
+        epsilon = tuple(min(value, bound) for value in epsilon)
+    else:
+        epsilon = min(epsilon, bound)
+    band = _Band([(community_b, community_a)], [epsilon], min(n_parts, community_b.n_dims))
+    hit_b, hit_a, _ = band.hits()
+    rows_b, rows_a = band.b_rows[hit_b], band.a_rows[hit_a]
+    order = np.lexsort((rows_a, rows_b))
+    return rows_b[order], rows_a[order]
 
 
 class _MinMaxBase(CSJAlgorithm):
@@ -660,18 +698,11 @@ class ExMinMax(_MinMaxBase):
     def _join_numpy(  # type: ignore[override]
         self, band: _Band, trace: EventTrace
     ) -> list[_Paired]:
-        hits_b: list[np.ndarray] = []
-        hits_a: list[np.ndarray] = []
-        examined = np.zeros(band.n_pairs, dtype=np.int64)
         with trace.stage("enumerate"):
-            for b_pos, a_pos, full in band.blocks():
-                examined += band.per_pair(b_pos)
-                hits_b.append(b_pos[full])
-                hits_a.append(a_pos[full])
+            hit_b, hit_a, examined = band.hits()
         with trace.stage("matching"):
             # The pairs are disjoint components of the band's graph, so
             # one call picks for each what a separate join would, in order.
-            hit_b, hit_a = _end_to_end(hits_b), _end_to_end(hits_a)
             picks = band.split(
                 *match_edges(band.b_rows[hit_b], band.a_rows[hit_a], self.matcher_name)
             )

@@ -26,7 +26,11 @@ Checks:
    couples where the exhaustive check is affordable);
 9. one batch of Ap- or Ex-MinMax joins (``join_many``) over the couple,
    its reverse and strided sub-couples gives every pair the result of a
-   separate join.
+   separate join;
+10. the vector-epsilon join runs on the MinMax band: at a uniform vector
+    equal to epsilon it picks Ex-MinMax's pairs in order, and at
+    epsilon + 2 on the first five dimensions its encoded (band) and
+    baseline (exhaustive) strategies pick the same pairs in order.
 """
 
 from __future__ import annotations
@@ -233,6 +237,31 @@ def run_selfcheck(
                 detail=f"{len(batch)} pairs",
             )
         )
+
+    # 10: the vector-epsilon join on the MinMax band.
+    from ..extensions import VectorEpsilonJoin  # so `import repro` skips the extensions
+
+    n_dims = community_b.n_dims
+    uniform = VectorEpsilonJoin([epsilon] * n_dims).join(community_b, community_a)
+    outcomes.append(
+        CheckOutcome(
+            name="vector-epsilon (uniform) == ex-minmax, pair for pair",
+            passed=uniform.pair_tuples() == results["ex-minmax"].pair_tuples(),
+            detail=f"{uniform.n_matched} pairs",
+        )
+    )
+    looser = [epsilon + 2 if dim < 5 else epsilon for dim in range(n_dims)]
+    encoded, baseline = (
+        VectorEpsilonJoin(looser, strategy=strategy).join(community_b, community_a)
+        for strategy in ("encoded", "baseline")
+    )
+    outcomes.append(
+        CheckOutcome(
+            name="vector-epsilon: encoded == baseline strategy, pair for pair",
+            passed=encoded.pair_tuples() == baseline.pair_tuples(),
+            detail=f"{encoded.n_matched} pairs at epsilon + 2 on the first five dimensions",
+        )
+    )
     return SelfCheckReport(outcomes=outcomes, results=results)
 
 

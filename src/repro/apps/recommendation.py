@@ -59,7 +59,8 @@ class FriendRecommender:
 
     Matched users have near-identical profiles (within epsilon per
     category), so each pair yields two suggestions in the style of the
-    paper's LinkedIn/VK examples.
+    paper's LinkedIn/VK examples.  Suggestions name the join's oriented
+    pair: ``B`` is the smaller community whichever order it came in.
     """
 
     def __init__(self, epsilon: int, *, method: str = "ex-minmax", **options: object) -> None:
@@ -69,6 +70,8 @@ class FriendRecommender:
         self, community_b: Community, community_a: Community
     ) -> list[FriendSuggestion]:
         result = self._algorithm.join(community_b, community_a)
+        if result.swapped:
+            community_b, community_a = community_a, community_b
         suggestions = []
         for b_index, a_index in result.pair_tuples():
             message = (

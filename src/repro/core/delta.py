@@ -61,7 +61,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ValidationError
-from .matching import enumerate_candidate_pairs
 from .types import Community, CSJResult, EventCounts
 from .validation import validate_epsilon, validate_pair
 
@@ -160,8 +159,11 @@ class DeltaJoinMaintainer:
 
         The fallback for structural changes: subscriptions and
         unsubscriptions re-shape the matrices (and may flip the B/A
-        orientation), so local repair does not apply.
+        orientation), so local repair does not apply.  The candidate
+        graph comes from one MinMax band pass, in ``(b, a)`` order.
         """
+        from ..algorithms.minmax import band_edges  # repro.algorithms imports repro.core
+
         community_b, community_a, swapped = validate_pair(
             first,
             second,
@@ -177,9 +179,8 @@ class DeltaJoinMaintainer:
         n_b, n_a = len(self._vectors_b), len(self._vectors_a)
         self._adj_b: list[set[int]] = [set() for _ in range(n_b)]
         self._adj_a: list[set[int]] = [set() for _ in range(n_a)]
-        for b_index, a_index in enumerate_candidate_pairs(
-            self._vectors_b, self._vectors_a, self.epsilon
-        ):
+        rows_b, rows_a = band_edges(community_b, community_a, self.epsilon)
+        for b_index, a_index in zip(rows_b.tolist(), rows_a.tolist()):
             self._adj_b[b_index].add(a_index)
             self._adj_a[a_index].add(b_index)
         self._n_edges = sum(len(partners) for partners in self._adj_b)

@@ -18,6 +18,8 @@ A user ``b`` can only match a user ``a`` when ``b.encoded_ID`` falls in
 ``[a.encoded_Min, a.encoded_Max]`` *and* every part sum of ``b`` falls in
 the corresponding part range of ``a``.  Both conditions are necessary
 (never sufficient), so the scheme can prune without false misses.
+They stay necessary under a per-dimension threshold ``eps_i``, whose
+intervals are ``[max(0, v - eps_i), v + eps_i]``.
 
 Figure 1 shows the segmentation for ``d = 27`` with 4 parts as sizes
 ``6, 7, 7, 7``: the remainder dimensions go to the *last* parts.
@@ -132,15 +134,20 @@ class MinMaxEncoder:
     Parameters
     ----------
     epsilon:
-        The per-dimension absolute-difference threshold.
+        The per-dimension absolute-difference threshold: an int, or a
+        tuple of ``d`` ints that broadcasts over the ``(n, d)`` matrix.
     n_parts:
         Number of contiguous vector parts (the paper uses 4).
     """
 
-    def __init__(self, epsilon: int, n_parts: int = 4) -> None:
-        if epsilon < 0:
+    def __init__(self, epsilon: int | tuple[int, ...], n_parts: int = 4) -> None:
+        if isinstance(epsilon, tuple):
+            negative = min(epsilon, default=0) < 0
+        else:
+            negative, epsilon = epsilon < 0, int(epsilon)
+        if negative:
             raise ConfigurationError(f"epsilon must be non-negative, got {epsilon}")
-        self.epsilon = int(epsilon)
+        self.epsilon = epsilon
         self.n_parts = int(n_parts)
 
     def part_slices(self, n_dims: int) -> list[slice]:
@@ -197,7 +204,8 @@ class MinMaxEncoder:
 
     def candidates_of(self, community: Community) -> EncodedCandidates:
         """The ``Encd_A`` buffer of ``community``, memoised like
-        :meth:`targets_of` but keyed by ``(n_parts, epsilon)``."""
+        :meth:`targets_of` but keyed by ``(n_parts, epsilon)``, a tuple
+        epsilon whole."""
         return _memoised(
             community,
             _CANDIDATES_SLOT,

@@ -38,7 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "linf_match",
     "linf_match_mask",
-    "enumerate_candidate_pairs",
     "candidate_edges",
     "build_adjacency",
     "cover_smallest_first",
@@ -71,37 +70,22 @@ def linf_match_mask(
     return (diff <= epsilon).all(axis=1)
 
 
-def enumerate_candidate_pairs(
-    vectors_b: np.ndarray,
-    vectors_a: np.ndarray,
-    epsilon: int,
-    *,
-    block_size: int = 512,
-    metrics: "MetricsRegistry | None" = None,
-) -> Pairs:
-    """All candidate pairs within per-dimension epsilon, as a list of
-    ``(b, a)`` tuples: :func:`candidate_edges`, zipped."""
-    rows_b, rows_a = candidate_edges(
-        vectors_b, vectors_a, epsilon, block_size=block_size, metrics=metrics
-    )
-    return list(zip(rows_b.tolist(), rows_a.tolist()))
-
-
 def candidate_edges(
     vectors_b: np.ndarray,
     vectors_a: np.ndarray,
-    epsilon: int,
+    epsilon: int | Sequence[int] | np.ndarray,
     *,
     block_size: int = 512,
     metrics: "MetricsRegistry | None" = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """All candidate pairs within per-dimension epsilon, blockwise.
 
-    Accumulates the condition one dimension at a time over
+    ``epsilon`` is one threshold for every dimension or one per
+    dimension.  Accumulates the condition one dimension at a time over
     ``(block, |A|)`` planes, so peak memory is independent of ``d``.
     Returns the pairs' ``b`` and ``a`` rows as two integer arrays, in
-    ``(b, a)`` order.  Used by Ex-Baseline and by callers that need the
-    raw candidate graph (e.g. optimal weighted matching).  With
+    ``(b, a)`` order.  Used by Ex-Baseline and as the exhaustive
+    reference of the vector-epsilon join.  With
     ``metrics`` attached, the pairs examined and the candidates found
     are counted into the ``repro_core_candidate_pairs_examined_total`` /
     ``repro_core_candidate_pairs_found_total`` counters.
@@ -116,12 +100,13 @@ def candidate_edges(
     vectors_a = vectors_a.astype(np.int64, copy=False)
     n_b, n_dims = vectors_b.shape
     n_a = len(vectors_a)
+    epsilons = np.broadcast_to(epsilon, (n_dims,))
     for start in range(0, n_b, block_size):
         block = vectors_b[start : start + block_size]
         mask = np.ones((len(block), n_a), dtype=bool)
         for dim in range(n_dims):
             diff = np.abs(block[:, dim : dim + 1] - vectors_a[None, :, dim])
-            mask &= diff <= epsilon
+            mask &= diff <= epsilons[dim]
             if not mask.any():
                 break
         rows, cols = np.nonzero(mask)

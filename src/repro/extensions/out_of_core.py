@@ -9,12 +9,19 @@ MinMax-windowed exact join with bounded memory:
 1. one streaming pass computes the encoded IDs of ``B`` and the encoded
    Min/Max windows of ``A`` — ``O(n)`` *scalars* in RAM, never the
    ``O(n * d)`` vectors;
-2. ``B`` is processed in sorted chunks; for each chunk the candidate
-   window of ``A`` rows is identified from the in-RAM encoded arrays and
-   only those rows are gathered from disk for the exact per-dimension
-   comparison;
-3. candidate pairs (small, by CSJ's low-epsilon selectivity) feed the
-   usual CSF or Hopcroft–Karp selection.
+2. ``B`` is taken in slices of ``chunk_size`` rows in encoded-ID order;
+   for each slice, only the ``A`` rows whose window meets the slice's
+   ID range (``encoded_Min`` at most its largest ID, ``encoded_Max`` at
+   least its smallest) are gathered from disk, and the slice and those
+   rows are paired by one MinMax band pass
+   (:func:`~repro.algorithms.minmax.band_edges`);
+3. every slice's candidate pairs (few, by CSJ's low-epsilon
+   selectivity) feed one CSF or Hopcroft–Karp selection.
+
+Memory holds at most one slice of ``B`` and the ``A`` rows of its
+window at a time (plus the band's working blocks), so a smaller
+``chunk_size`` gathers less; each slice is a band of its own, so a
+very small one costs a band pass per few users.
 
 The result is pair-for-pair identical to the in-memory Ex-MinMax — the
 tests assert it.
@@ -29,9 +36,11 @@ from pathlib import Path
 
 import numpy as np
 
+from ..algorithms.minmax import band_edges
 from ..core.errors import ConfigurationError, ValidationError
-from ..core.matching import build_adjacency, get_matcher
-from ..core.types import Community, CSJResult, as_counter_matrix, pairs_from_tuples
+from ..core.matching import get_matcher, match_edges
+from ..core.types import Community, CSJResult, as_counter_matrix
+from ..core.validation import validate_epsilon
 
 __all__ = ["OnDiskCommunity", "out_of_core_similarity"]
 
@@ -167,11 +176,12 @@ class OnDiskCommunity:
         return sums
 
     def window_bounds(self, epsilon: int, chunk_size: int) -> tuple[np.ndarray, np.ndarray]:
-        """Streaming encoded Min/Max (clamped at zero per dimension)."""
+        """Streaming encoded Min/Max (clamped at zero per dimension; int64
+        chunks, as ``0 - epsilon`` wraps in a narrow unsigned file)."""
         minimum = np.empty(self.n_users, dtype=np.int64)
         maximum = np.empty(self.n_users, dtype=np.int64)
         for start in range(0, self.n_users, chunk_size):
-            block = np.asarray(self.vectors[start : start + chunk_size])
+            block = np.asarray(self.vectors[start : start + chunk_size], dtype=np.int64)
             minimum[start : start + chunk_size] = np.maximum(
                 block - epsilon, 0
             ).sum(axis=1)
@@ -197,6 +207,7 @@ def out_of_core_similarity(
     accumulate file handles.  Caller-provided ``OnDiskCommunity``
     instances are left open (the caller owns their lifetime).
     """
+    epsilon = validate_epsilon(epsilon)
     if chunk_size < 1:
         raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
     opened: list[OnDiskCommunity] = []
@@ -233,44 +244,31 @@ def _out_of_core_similarity(
             "pass the smaller community first (on-disk joins are not "
             "auto-oriented)"
         )
-    select = get_matcher(matcher)
+    get_matcher(matcher)  # rejects an unknown name before the scan
     started = time.perf_counter()
 
     encoded_id = disk_b.row_sums(chunk_size)
     encoded_min, encoded_max = disk_a.window_bounds(epsilon, chunk_size)
-    order_a = np.argsort(encoded_min, kind="stable")
-    sorted_min = encoded_min[order_a]
-    sorted_max = encoded_max[order_a]
-
-    raw_pairs: list[tuple[int, int]] = []
     order_b = np.argsort(encoded_id, kind="stable")
-    for chunk_start in range(0, len(order_b), chunk_size):
-        chunk_rows = order_b[chunk_start : chunk_start + chunk_size]
-        block_b = np.asarray(disk_b.vectors[np.sort(chunk_rows)])
-        row_of = {int(row): i for i, row in enumerate(np.sort(chunk_rows))}
-        for b_row in chunk_rows:
-            own_id = int(encoded_id[b_row])
-            hi = int(np.searchsorted(sorted_min, own_id, side="right"))
-            if hi == 0:
-                continue
-            window = np.flatnonzero(sorted_max[:hi] >= own_id)
-            if window.size == 0:
-                continue
-            candidate_rows = np.sort(order_a[window])
-            block_a = np.asarray(disk_a.vectors[candidate_rows])
-            vector_b = block_b[row_of[int(b_row)]]
-            mask = (np.abs(block_a - vector_b) <= epsilon).all(axis=1)
-            raw_pairs.extend(
-                (int(b_row), int(a_row)) for a_row in candidate_rows[mask]
-            )
+    edges_b = [np.empty(0, dtype=np.int64)]
+    edges_a = [np.empty(0, dtype=np.int64)]
+    for start in range(0, len(order_b), chunk_size):
+        slice_b = order_b[start : start + chunk_size]
+        low, high = encoded_id[slice_b[0]], encoded_id[slice_b[-1]]
+        rows_a = np.flatnonzero((encoded_min <= high) & (encoded_max >= low))
+        if rows_a.size == 0:
+            continue
+        rows_b = np.sort(slice_b)
+        hits_b, hits_a = band_edges(
+            Community(disk_b.name, disk_b.vectors[rows_b]),
+            Community(disk_a.name, disk_a.vectors[rows_a]),
+            epsilon,
+        )
+        edges_b.append(rows_b[hits_b])
+        edges_a.append(rows_a[hits_a])
 
-    if raw_pairs:
-        matched_b, matched_a = build_adjacency(raw_pairs)
-        selected = select(matched_b, matched_a)
-    else:
-        selected = []
+    pairs_b, pairs_a = match_edges(np.concatenate(edges_b), np.concatenate(edges_a), matcher)
     elapsed = time.perf_counter() - started
-    pairs_b, pairs_a = pairs_from_tuples(selected)
     return CSJResult(
         method="out-of-core-minmax",
         exact=matcher != "greedy",

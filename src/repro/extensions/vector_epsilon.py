@@ -12,9 +12,13 @@ The MinMax encoding generalises verbatim: the per-dimension interval of
 a candidate value ``v`` in dimension ``i`` is
 ``[max(0, v - eps_i), v + eps_i]``, part ranges are the interval sums,
 and the encoded ID window and part-overlap tests remain *necessary*
-conditions exactly as before.  :class:`VectorEpsilonJoin` implements
-both the exhaustive baseline and the encoded (MinMax-style) join under
-a vector epsilon, with the same CSF / Hopcroft–Karp selection stage.
+conditions exactly as before.  So :class:`VectorEpsilonJoin` runs no
+kernel of its own: its ``"encoded"`` strategy takes the candidate edges
+from the MinMax band pass (:func:`~repro.algorithms.minmax.band_edges`,
+which takes the vector as it is), its ``"baseline"`` strategy from the
+exhaustive :func:`~repro.core.matching.candidate_edges`, and both hand
+them to the same CSF / Hopcroft–Karp / greedy selection
+(:func:`~repro.core.matching.match_edges`).
 """
 
 from __future__ import annotations
@@ -23,10 +27,10 @@ import time
 
 import numpy as np
 
-from ..core.encoding import split_dimensions
+from ..algorithms.minmax import band_edges
 from ..core.errors import ConfigurationError
-from ..core.matching import build_adjacency, get_matcher
-from ..core.types import Community, CSJResult, pairs_from_tuples
+from ..core.matching import candidate_edges, get_matcher, match_edges
+from ..core.types import Community, CSJResult
 from ..core.validation import validate_pair
 
 __all__ = ["VectorEpsilonJoin", "vector_epsilon_similarity"]
@@ -72,10 +76,10 @@ class VectorEpsilonJoin:
             raise ConfigurationError(
                 f"strategy must be 'encoded' or 'baseline', got {strategy!r}"
             )
+        get_matcher(matcher)  # rejects an unknown name here
         self.epsilons = vector
         self.strategy = strategy
         self.matcher_name = matcher
-        self._matcher = get_matcher(matcher)
         self.n_parts = int(n_parts)
 
     # ------------------------------------------------------------------
@@ -91,20 +95,15 @@ class VectorEpsilonJoin:
             )
         started = time.perf_counter()
         if self.strategy == "encoded":
-            raw_pairs = self._candidates_encoded(
-                community_b.vectors, community_a.vectors
+            rows_b, rows_a = band_edges(
+                community_b, community_a, tuple(self.epsilons.tolist()), self.n_parts
             )
         else:
-            raw_pairs = self._candidates_baseline(
-                community_b.vectors, community_a.vectors
+            rows_b, rows_a = candidate_edges(
+                community_b.vectors, community_a.vectors, self.epsilons
             )
-        if raw_pairs:
-            matched_b, matched_a = build_adjacency(raw_pairs)
-            selected = self._matcher(matched_b, matched_a)
-        else:
-            selected = []
+        pairs_b, pairs_a = match_edges(rows_b, rows_a, self.matcher_name)
         elapsed = time.perf_counter() - started
-        pairs_b, pairs_a = pairs_from_tuples(selected)
         return CSJResult(
             method=f"vector-epsilon-{self.strategy}",
             exact=self.matcher_name != "greedy",
@@ -116,72 +115,6 @@ class VectorEpsilonJoin:
             elapsed_seconds=elapsed,
             swapped=swapped,
         )
-
-    # ------------------------------------------------------------------
-    # candidate enumeration
-    # ------------------------------------------------------------------
-    def _match_mask(self, vector_b: np.ndarray, rows_a: np.ndarray) -> np.ndarray:
-        diff = np.abs(rows_a - vector_b)
-        return (diff <= self.epsilons).all(axis=1)
-
-    def _candidates_baseline(
-        self, vectors_b: np.ndarray, vectors_a: np.ndarray
-    ) -> list[tuple[int, int]]:
-        pairs: list[tuple[int, int]] = []
-        for b_index, vector_b in enumerate(vectors_b):
-            hits = np.flatnonzero(self._match_mask(vector_b, vectors_a))
-            pairs.extend((b_index, int(a_index)) for a_index in hits)
-        return pairs
-
-    def _candidates_encoded(
-        self, vectors_b: np.ndarray, vectors_a: np.ndarray
-    ) -> list[tuple[int, int]]:
-        """Generalised MinMax pruning with per-dimension intervals."""
-        n_dims = vectors_b.shape[1]
-        slices = split_dimensions(n_dims, min(self.n_parts, n_dims))
-
-        parts_b = np.stack(
-            [vectors_b[:, sl].sum(axis=1) for sl in slices], axis=1
-        )
-        encoded_id = parts_b.sum(axis=1)
-
-        lowered = np.maximum(vectors_a - self.epsilons, 0)
-        raised = vectors_a + self.epsilons
-        range_min = np.stack([lowered[:, sl].sum(axis=1) for sl in slices], axis=1)
-        range_max = np.stack([raised[:, sl].sum(axis=1) for sl in slices], axis=1)
-        encoded_min = range_min.sum(axis=1)
-        encoded_max = range_max.sum(axis=1)
-
-        order_a = np.lexsort(
-            (np.arange(len(encoded_min)), encoded_max, encoded_min)
-        )
-        encoded_min = encoded_min[order_a]
-        encoded_max = encoded_max[order_a]
-        range_min = range_min[order_a]
-        range_max = range_max[order_a]
-
-        pairs: list[tuple[int, int]] = []
-        for b_index in np.argsort(encoded_id, kind="stable"):
-            own_id = encoded_id[b_index]
-            hi = int(np.searchsorted(encoded_min, own_id, side="right"))
-            if hi == 0:
-                continue
-            window = encoded_max[:hi] >= own_id
-            if not window.any():
-                continue
-            overlap = (
-                (parts_b[b_index] >= range_min[:hi])
-                & (parts_b[b_index] <= range_max[:hi])
-            ).all(axis=1)
-            positions = np.flatnonzero(window & overlap)
-            if positions.size == 0:
-                continue
-            rows = order_a[positions]
-            full = self._match_mask(vectors_b[b_index], vectors_a[rows])
-            pairs.extend(
-                (int(b_index), int(a_index)) for a_index in rows[full]
-            )
-        return pairs
 
 
 def vector_epsilon_similarity(

@@ -121,18 +121,17 @@ def _optimal_weighted(
 
     import networkx as nx
 
-    from ..core.matching import enumerate_candidate_pairs
+    from ..algorithms.minmax import band_edges
     from ..core.types import CSJResult, pairs_from_tuples
-    from ..core.validation import validate_pair
+    from ..core.validation import validate_epsilon, validate_pair
 
+    epsilon = validate_epsilon(epsilon)
     community_b, community_a, swapped = validate_pair(first, second)
     weight_vector = _weights(community_b, weights)
     started = time.perf_counter()
-    candidates = enumerate_candidate_pairs(
-        community_b.vectors, community_a.vectors, epsilon
-    )
+    rows_b, rows_a = band_edges(community_b, community_a, epsilon)
     graph = nx.Graph()
-    for b_index, a_index in candidates:
+    for b_index, a_index in zip(rows_b.tolist(), rows_a.tolist()):
         graph.add_edge(
             ("b", b_index), ("a", a_index), weight=float(weight_vector[b_index])
         )

@@ -54,6 +54,18 @@ class TestFriendRecommender:
         far = Community("Far", np.full((60, 6), 10_000, dtype=np.int64))
         assert FriendRecommender(1).recommend(anchor, far) == []
 
+    def test_swapped_join_names_the_oriented_pair(self):
+        # The larger community comes first, so the join swaps it to A:
+        # small row 0 matches large row 1 (large row 0 matches nothing).
+        small = Community("small", np.array([[0, 0], [50, 50]]))
+        large = Community("large", np.array([[9, 9], [0, 0], [70, 70]]))
+        [suggestion] = FriendRecommender(0).recommend(large, small)
+        assert (suggestion.b_index, suggestion.a_index) == (0, 1)
+        assert (suggestion.community_b, suggestion.community_a) == ("small", "large")
+        assert suggestion.message.startswith(
+            "user B#0 of 'small' and user A#1 of 'large'"
+        )
+
 
 class TestPartnerRecommender:
     def test_ranking_follows_overlap(self, anchor):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro import csj_similarity
-from repro.core.errors import ConfigurationError
+from repro.core.errors import ConfigurationError, ValidationError
 from repro.core.types import Community
 from repro.extensions import (
     VectorEpsilonJoin,
@@ -33,7 +33,7 @@ class TestVectorEpsilonJoin:
             community_b, community_a, epsilon=1,
             method="ex-minmax", matcher="hopcroft_karp",
         )
-        assert vector_result.n_matched == scalar_result.n_matched
+        assert vector_result.pair_tuples() == scalar_result.pair_tuples()
 
     @pytest.mark.parametrize("seed", range(5))
     def test_encoded_equals_baseline_strategy(self, seed):
@@ -156,6 +156,11 @@ class TestWeightedSimilarity:
 
 
 class TestOptimalWeightedMatching:
+    @pytest.mark.parametrize("epsilon", [-1, 1.5, True])
+    def test_invalid_epsilon_rejected(self, couple, epsilon):
+        with pytest.raises(ValidationError, match="epsilon"):
+            weighted_similarity(*couple, epsilon=epsilon, optimize=True)
+
     def test_optimal_never_below_greedy_weight(self, couple):
         greedy = weighted_similarity(*couple, epsilon=1, weights="activity")
         optimal = weighted_similarity(

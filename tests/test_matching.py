@@ -15,7 +15,6 @@ from repro.core.matching import (
     build_adjacency,
     candidate_edges,
     cover_smallest_first,
-    enumerate_candidate_pairs,
     get_matcher,
     greedy_first_fit,
     hopcroft_karp,
@@ -58,13 +57,18 @@ class TestLinfPredicates:
         assert not linf_match_mask(vector_b, matrix_a, epsilon=1)[0]
 
 
-class TestEnumerateCandidatePairs:
+def _edge_list(vectors_b, vectors_a, epsilon, **options):
+    rows_b, rows_a = candidate_edges(vectors_b, vectors_a, epsilon, **options)
+    return list(zip(rows_b.tolist(), rows_a.tolist()))
+
+
+class TestCandidateEdges:
     def test_uint8_wraparound_regression(self):
         # 5 - 250 wraps to 11 in uint8 arithmetic; the enumeration must
         # widen to int64 exactly like linf_match and report no pair.
         vectors_b = np.array([[5]], dtype=np.uint8)
         vectors_a = np.array([[250]], dtype=np.uint8)
-        assert enumerate_candidate_pairs(vectors_b, vectors_a, epsilon=20) == []
+        assert _edge_list(vectors_b, vectors_a, epsilon=20) == []
         assert not linf_match(vectors_b[0], vectors_a[0], epsilon=20)
 
     def test_uint_dtypes_agree_with_scalar_predicate(self):
@@ -73,32 +77,20 @@ class TestEnumerateCandidatePairs:
             vectors_b = rng.integers(0, high, size=(12, 3)).astype(dtype)
             vectors_a = rng.integers(0, high, size=(15, 3)).astype(dtype)
             epsilon = int(high) // 2
-            pairs = set(
-                enumerate_candidate_pairs(vectors_b, vectors_a, epsilon=epsilon)
-            )
-            expected = {
+            expected = [
                 (b, a)
                 for b in range(12)
                 for a in range(15)
                 if linf_match(vectors_b[b], vectors_a[a], epsilon=epsilon)
-            }
-            assert pairs == expected
+            ]
+            assert _edge_list(vectors_b, vectors_a, epsilon=epsilon) == expected
 
     def test_blockwise_equals_single_block(self):
         rng = np.random.default_rng(43)
         vectors_b = rng.integers(0, 250, size=(20, 4)).astype(np.uint8)
         vectors_a = rng.integers(0, 250, size=(17, 4)).astype(np.uint8)
-        assert enumerate_candidate_pairs(
-            vectors_b, vectors_a, epsilon=10, block_size=3
-        ) == enumerate_candidate_pairs(vectors_b, vectors_a, epsilon=10)
-
-    def test_edges_are_the_pairs(self):
-        rng = np.random.default_rng(44)
-        vectors_b = rng.integers(0, 6, size=(13, 3))
-        vectors_a = rng.integers(0, 6, size=(16, 3))
-        rows_b, rows_a = candidate_edges(vectors_b, vectors_a, epsilon=2, block_size=4)
-        assert list(zip(rows_b.tolist(), rows_a.tolist())) == enumerate_candidate_pairs(
-            vectors_b, vectors_a, epsilon=2
+        assert _edge_list(vectors_b, vectors_a, 10, block_size=3) == _edge_list(
+            vectors_b, vectors_a, 10
         )
 
 

@@ -76,7 +76,7 @@ class TestOutOfCoreJoin:
             epsilon=1,
             method="ex-minmax",
         )
-        assert set(disk_result.pair_tuples()) == set(memory_result.pair_tuples())
+        assert disk_result.pair_tuples() == memory_result.pair_tuples()
 
     def test_hopcroft_karp_matcher(self, disk_couple):
         disk_b, disk_a, vectors_b, vectors_a = disk_couple
@@ -100,10 +100,31 @@ class TestOutOfCoreJoin:
         with pytest.raises(ValidationError, match="dimension mismatch"):
             out_of_core_similarity(disk_b, other, epsilon=1)
 
+    @pytest.mark.parametrize("epsilon", [-1, 1.5, True])
+    def test_invalid_epsilon_rejected_before_any_file_opens(
+        self, tmp_path, disk_couple, epsilon
+    ):
+        disk_b, disk_a, _, _ = disk_couple
+        with pytest.raises(ValidationError, match="epsilon"):
+            out_of_core_similarity(disk_b, disk_a, epsilon=epsilon)
+        # Paths to no file: the epsilon check comes first.
+        with pytest.raises(ValidationError, match="epsilon"):
+            out_of_core_similarity(tmp_path / "none_b", tmp_path / "none_a", epsilon=epsilon)
+
     def test_invalid_chunk_size(self, disk_couple):
         disk_b, disk_a, _, _ = disk_couple
         with pytest.raises(ConfigurationError):
             out_of_core_similarity(disk_b, disk_a, epsilon=1, chunk_size=0)
+
+    def test_narrow_unsigned_file_clamps_its_windows(self, tmp_path):
+        # A uint8 file written outside OnDiskCommunity.create: a zero
+        # counter's window must clamp at 0, not wrap to 255.
+        vectors_b = np.array([[0, 5], [3, 3]], dtype=np.uint8)
+        vectors_a = np.array([[0, 5], [3, 4], [9, 9]], dtype=np.uint8)
+        np.save(tmp_path / "b.npy", vectors_b)
+        np.save(tmp_path / "a.npy", vectors_a)
+        result = out_of_core_similarity(tmp_path / "b", tmp_path / "a", epsilon=1)
+        assert result.pair_tuples() == [(0, 0), (1, 1)]
 
     def test_no_matches(self, tmp_path):
         disk_b = OnDiskCommunity.create(

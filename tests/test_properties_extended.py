@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import csj_similarity
+from repro.algorithms.minmax import band_edges
 from repro.core.incremental import IncrementalCommunity
+from repro.core.matching import candidate_edges
 from repro.core.types import Community
 from repro.extensions import VectorEpsilonJoin
 
@@ -51,7 +53,7 @@ def test_uniform_vector_epsilon_equals_scalar(rows_b, rows_a, epsilon):
     scalar = csj_similarity(
         b, a, epsilon=epsilon, method="ex-minmax", matcher="hopcroft_karp"
     )
-    assert vector.n_matched == scalar.n_matched
+    assert vector.pair_tuples() == scalar.pair_tuples()
 
 
 @given(
@@ -79,6 +81,33 @@ def test_vector_epsilon_strategies_agree(rows_b, rows_a):
     encoded = VectorEpsilonJoin(epsilons, strategy="encoded").join(b, a)
     baseline = VectorEpsilonJoin(epsilons, strategy="baseline").join(b, a)
     assert set(encoded.pair_tuples()) == set(baseline.pair_tuples())
+
+
+@st.composite
+def band_cases(draw):
+    """Two small communities of one ``d`` (1 to 5), an epsilon (an int,
+    or one per dimension, up to above the largest counter) and a part
+    count (up to above ``d``)."""
+    d = draw(st.integers(min_value=1, max_value=5))
+    row = st.lists(st.integers(min_value=0, max_value=6), min_size=d, max_size=d)
+    rows_b = draw(st.lists(row, min_size=1, max_size=9))
+    rows_a = draw(st.lists(row, min_size=1, max_size=12))
+    thresholds = st.integers(min_value=0, max_value=8)
+    epsilon = draw(thresholds | st.lists(thresholds, min_size=d, max_size=d).map(tuple))
+    return rows_b, rows_a, epsilon, draw(st.integers(min_value=1, max_value=7))
+
+
+@given(case=band_cases())
+@example(case=([[3]], [[3], [0], [4]], (0,), 4))
+@example(case=([[0, 5, 2], [6, 6, 6]], [[0, 9, 2], [6, 0, 6], [1, 5, 3]], (0, 50, 1), 2))
+@settings(max_examples=80, deadline=None)
+def test_band_edges_equal_candidate_edges(case):
+    rows_b, rows_a, epsilon, n_parts = case
+    b, a = Community("B", np.array(rows_b)), Community("A", np.array(rows_a))
+    rows = band_edges(b, a, epsilon, n_parts)
+    expected = candidate_edges(b.vectors, a.vectors, epsilon)
+    assert [array.dtype for array in rows] == [np.int64, np.int64]
+    assert [array.tolist() for array in rows] == [array.tolist() for array in expected]
 
 
 # ----------------------------------------------------------------------

@@ -45,6 +45,8 @@ class TestRunSelfCheck:
         assert "ex-superego (raw mode) == ex-baseline, pair for pair" in names
         assert "ex-superego (raw mode, one leaf) == ex-baseline, pair for pair" in names
         assert "brute-force match" in names
+        assert "vector-epsilon (uniform) == ex-minmax, pair for pair" in names
+        assert "vector-epsilon: encoded == baseline strategy, pair for pair" in names
 
     def test_render_mentions_verdict(self, report):
         rendered = report.render()
