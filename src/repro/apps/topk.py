@@ -98,6 +98,13 @@ def _validate(communities: list[Community], k: int, screen_margin: float) -> Non
         raise ConfigurationError("community names must be unique for ranking")
 
 
+def _same_dims(dims: Sequence[int]) -> None:
+    """A ranking joins every pair, so all communities share one ``d``."""
+    for n_dims in dims[1:]:
+        if n_dims != dims[0]:
+            raise DimensionMismatchError(dims[0], n_dims)
+
+
 def _in_name_order(communities: Sequence[Community]) -> list[Community]:
     """Ap-MinMax is order-sensitive on equal-size pairs: fix the order."""
     return sorted(communities, key=lambda community: community.name)
@@ -167,7 +174,9 @@ def top_k_pairs(
         _validate([], k, screen_margin)
         catalog = communities
         names = sorted(set(keys)) if keys is not None else catalog.keys()
-        sizes = [catalog.metadata(key).n_users for key in names]
+        records = [catalog.metadata(key) for key in names]
+        _same_dims([record.n_dims for record in records])
+        sizes = [record.n_users for record in records]
         joinable = _joinable_mask(sizes)
         live = joinable
         if envelope_screen:
@@ -193,9 +202,7 @@ def top_k_pairs(
                 "keys= only applies when ranking from a PersistentCatalog"
             )
         _validate(communities, k, screen_margin)
-        for community in communities[1:]:
-            if community.n_dims != communities[0].n_dims:
-                raise DimensionMismatchError(communities[0].n_dims, community.n_dims)
+        _same_dims([community.n_dims for community in communities])
         communities = _in_name_order(communities)
         names = [community.name for community in communities]
         sizes = [community.n_users for community in communities]

@@ -1,15 +1,13 @@
 """Persistent community catalog: SQLite-backed storage with indexed
-envelope screening, lazy vector loads and a crash-safe join-result
-cache.  See ``docs/catalog.md`` for the schema and the window-query
-SQL; :class:`~repro.datasets.catalog.CommunityCatalog` remains as a
-thin filesystem-format shim sharing this package's fingerprinting.
+envelope screening and lazy vector loads.  See ``docs/catalog.md`` for
+the schema and the window-query SQL; join results are kept by
+:mod:`repro.engine`, not here.
 """
 
 from .fingerprint import content_fingerprint
 from .store import (
     CATALOG_COUNTERS,
     CatalogRecord,
-    CatalogSimilarity,
     PersistentCatalog,
     init_catalog_metrics,
 )
@@ -17,7 +15,6 @@ from .store import (
 __all__ = [
     "CATALOG_COUNTERS",
     "CatalogRecord",
-    "CatalogSimilarity",
     "PersistentCatalog",
     "content_fingerprint",
     "init_catalog_metrics",

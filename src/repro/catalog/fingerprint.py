@@ -1,10 +1,11 @@
-"""Dtype-aware content fingerprints for catalog storage layers.
+"""Dtype-aware content fingerprints for the persistent catalog.
 
-Both persistent catalogs key their similarity caches by the *content*
-of the joined communities, so a fingerprint collision serves one
-community's cached result for another.  Hashing shape + raw bytes is
-not enough: the same byte buffer reinterpreted under a different dtype
-is a different matrix (``float64 1.0`` and ``int64
+Each catalog row records the fingerprint of its community's vectors
+(``CatalogRecord.fingerprint``, shown by ``repro-csj catalog ls``), so
+two rows, or one row before and after a re-registration, hold the same
+matrix exactly when their fingerprints agree.  Hashing shape + raw
+bytes is not enough: the same byte buffer reinterpreted under a
+different dtype is a different matrix (``float64 1.0`` and ``int64
 4607182418800017408`` share all eight bytes), so the dtype — including
 endianness — is part of the content and belongs in the digest.
 """

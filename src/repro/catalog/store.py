@@ -7,7 +7,7 @@ The in-memory engine answers it with the per-dimension min/max envelope
 screen (:mod:`repro.engine.envelope`); this module pushes that screen
 into a real index so it runs without touching any vectors.
 
-Layout — three tables in one WAL-mode database:
+Layout — two tables in one WAL-mode database:
 
 * ``communities`` — one row per community: metadata, the dtype-aware
   content fingerprint, the per-dimension Min/Max envelope (two int64
@@ -17,12 +17,14 @@ Layout — three tables in one WAL-mode database:
 * ``vectors`` — the ``(n, d)`` counter matrix as a blob, in its own
   table so metadata/envelope reads never page vector data in.  Vectors
   load lazily, one community at a time, only when a join actually
-  needs them;
-* ``similarity_cache`` — join results keyed by ``(pair, method,
-  epsilon, options, both content fingerprints)``, written
-  transactionally so a crash mid-write can never corrupt the store
-  (the WAL journal rolls the torn transaction back) and two handles on
-  the same database never clobber each other's entries.
+  needs them.
+
+The catalog keeps no join results: :mod:`repro.engine` memoises them
+(``JoinResultCache`` in memory, ``CheckpointLog`` on disk), so durable
+results over catalog data come from ``top_k_pairs(catalog,
+checkpoint=...)`` and ``catalog_epsilon_sweep(..., checkpoint=...)``.
+A join-cache table that an older version left in a database is
+ignored: never read, written or dropped.
 
 The single-probe window query runs in two stages, both vector-free:
 
@@ -54,27 +56,25 @@ from __future__ import annotations
 
 import sqlite3
 import threading
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ..algorithms import get_algorithm
 from ..core.errors import ValidationError
 from ..core.types import Community
 from ..core.validation import validate_epsilon
-from ..engine.cache import canonical_options
+from ..datasets.io import load_communities
 from ..engine.envelope import Envelope, community_envelope, envelopes_separated
 from ..engine.envelope import candidate_pairs as envelope_candidates
+from .fingerprint import content_fingerprint
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs.registry import MetricsRegistry
 
 __all__ = [
     "CatalogRecord",
-    "CatalogSimilarity",
     "PersistentCatalog",
     "CATALOG_COUNTERS",
     "init_catalog_metrics",
@@ -83,9 +83,10 @@ __all__ = [
 #: int64 little-endian — the on-disk encoding of envelopes and vectors.
 _INT64 = np.dtype("<i8")
 
-#: Characters rejected in catalog keys.  ``/`` and ``\`` for parity
-#: with the filesystem shim, ``|`` because the shim's legacy cache keys
-#: are pipe-joined and an embedded delimiter forges cache entries.
+#: Characters rejected in catalog keys: ``/`` and ``\`` keep every key
+#: a valid file stem (``<key>.npz`` in the import layout), and ``|`` is
+#: the shard plan's pair separator (``repro.shard.partition._PAIR_SEP``),
+#: so a key holding it would split into the wrong pair.
 _FORBIDDEN_KEY_CHARS = "/\\|"
 
 #: Counter family of the persistent catalog, zero-initialised at every
@@ -97,9 +98,6 @@ CATALOG_COUNTERS = (
     "repro_catalog_rows_scanned_total",
     "repro_catalog_survivors_total",
     "repro_catalog_vector_loads_total",
-    "repro_catalog_cache_hits_total",
-    "repro_catalog_cache_misses_total",
-    "repro_catalog_cache_writes_total",
 )
 
 _SCHEMA = """
@@ -124,22 +122,6 @@ CREATE TABLE IF NOT EXISTS vectors (
     n     INTEGER NOT NULL,
     d     INTEGER NOT NULL,
     data  BLOB NOT NULL
-);
-CREATE TABLE IF NOT EXISTS similarity_cache (
-    key_b         TEXT NOT NULL,
-    key_a         TEXT NOT NULL,
-    method        TEXT NOT NULL,
-    epsilon       INTEGER NOT NULL,
-    options       TEXT NOT NULL DEFAULT '()',
-    fingerprint_b TEXT NOT NULL,
-    fingerprint_a TEXT NOT NULL,
-    similarity    REAL NOT NULL,
-    n_matched     INTEGER NOT NULL,
-    created_at    REAL NOT NULL,
-    PRIMARY KEY (
-        key_b, key_a, method, epsilon, options,
-        fingerprint_b, fingerprint_a
-    )
 );
 """
 
@@ -172,19 +154,6 @@ class CatalogRecord:
     fingerprint: str
 
 
-@dataclass(frozen=True)
-class CatalogSimilarity:
-    """One (possibly cached) join outcome, as the catalog reports it."""
-
-    key_b: str
-    key_a: str
-    method: str
-    epsilon: int
-    similarity: float
-    n_matched: int
-    from_cache: bool
-
-
 def _validate_key(key: str) -> str:
     if not isinstance(key, str) or not key:
         raise ValidationError("catalog key must be a non-empty string")
@@ -202,7 +171,7 @@ def _decode_envelope(blob: bytes) -> np.ndarray:
 
 
 class PersistentCatalog:
-    """SQLite-backed store of communities, envelopes and join results.
+    """SQLite-backed store of communities and their envelopes.
 
     Parameters
     ----------
@@ -279,8 +248,6 @@ class PersistentCatalog:
             self._connection.execute("COMMIT")
 
     def _community_row(self, key: str, community: Community) -> tuple:
-        from .fingerprint import content_fingerprint
-
         envelope = community_envelope(community)
         return (
             key,
@@ -323,13 +290,6 @@ class PersistentCatalog:
                 "VALUES (?, ?, ?, ?, ?)",
                 self._vector_row(key, community),
             ),
-            # Results computed from the replaced content are now
-            # unreachable (the fingerprint changed); drop them so the
-            # cache only ever holds entries its communities can serve.
-            (
-                "DELETE FROM similarity_cache WHERE key_b = ? OR key_a = ?",
-                (key, key),
-            ),
         ]
 
     # -- registration ----------------------------------------------------
@@ -351,7 +311,7 @@ class PersistentCatalog:
             self.inc("repro_catalog_registrations_total", len(communities))
 
     def remove(self, key: str) -> None:
-        """Delete a community, its vectors and every cache entry of it."""
+        """Delete a community and its vectors."""
         _validate_key(key)
         with self._lock:
             if key not in self:
@@ -360,11 +320,6 @@ class PersistentCatalog:
                 [
                     ("DELETE FROM communities WHERE key = ?", (key,)),
                     ("DELETE FROM vectors WHERE key = ?", (key,)),
-                    (
-                        "DELETE FROM similarity_cache "
-                        "WHERE key_b = ? OR key_a = ?",
-                        (key, key),
-                    ),
                 ]
             )
             self.inc("repro_catalog_removals_total")
@@ -553,113 +508,31 @@ class PersistentCatalog:
             ).fetchall()
         return "\n".join(str(row[-1]) for row in rows)
 
-    # -- cached similarity -----------------------------------------------
-    def similarity(
-        self,
-        key_b: str,
-        key_a: str,
-        *,
-        epsilon: int,
-        method: str = "ex-minmax",
-        **options: object,
-    ) -> CatalogSimilarity:
-        """Join two registered communities, reusing cached results.
-
-        The cache key embeds both content fingerprints, so replacing
-        either community invalidates its entries; a hit is served from
-        the metadata and cache tables alone — zero vector reads.
-        """
-        epsilon = validate_epsilon(epsilon)
-        record_b = self.metadata(key_b)
-        record_a = self.metadata(key_a)
-        options_repr = repr(canonical_options(options))
-        lookup = (
-            key_b,
-            key_a,
-            method,
-            epsilon,
-            options_repr,
-            record_b.fingerprint,
-            record_a.fingerprint,
-        )
-        with self._lock:
-            row = self._connection.execute(
-                "SELECT similarity, n_matched FROM similarity_cache "
-                "WHERE key_b = ? AND key_a = ? AND method = ? "
-                "AND epsilon = ? AND options = ? "
-                "AND fingerprint_b = ? AND fingerprint_a = ?",
-                lookup,
-            ).fetchone()
-            if row is not None:
-                self.inc("repro_catalog_cache_hits_total")
-                return CatalogSimilarity(
-                    key_b=key_b,
-                    key_a=key_a,
-                    method=method,
-                    epsilon=epsilon,
-                    similarity=float(row[0]),
-                    n_matched=int(row[1]),
-                    from_cache=True,
-                )
-            self.inc("repro_catalog_cache_misses_total")
-        result = get_algorithm(method, epsilon, **options).join(
-            self.get(key_b), self.get(key_a)
-        )
-        self._write(
-            [
-                (
-                    "INSERT OR REPLACE INTO similarity_cache "
-                    "(key_b, key_a, method, epsilon, options, "
-                    " fingerprint_b, fingerprint_a, similarity, n_matched, "
-                    " created_at) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                    lookup + (result.similarity, result.n_matched, time.time()),
-                )
-            ]
-        )
-        with self._lock:
-            self.inc("repro_catalog_cache_writes_total")
-        return CatalogSimilarity(
-            key_b=key_b,
-            key_a=key_a,
-            method=method,
-            epsilon=epsilon,
-            similarity=result.similarity,
-            n_matched=result.n_matched,
-            from_cache=False,
-        )
-
-    def cache_size(self) -> int:
-        with self._lock:
-            (count,) = self._connection.execute(
-                "SELECT COUNT(*) FROM similarity_cache"
-            ).fetchone()
-        return int(count)
-
-    def clear_cache(self) -> None:
-        self._write([("DELETE FROM similarity_cache", ())])
-
-    # -- interop with the filesystem catalog ------------------------------
+    # -- import ------------------------------------------------------------
     def import_directory(self, root: str | Path) -> list[str]:
-        """Import every community of a ``CommunityCatalog`` directory."""
-        from ..datasets.catalog import CommunityCatalog
+        """Register every ``<key>.npz`` community archive under ``root``.
 
-        legacy = CommunityCatalog(root)
-        imported = {key: legacy.get(key) for key in legacy.keys()}
+        Reads the ``<key>.npz`` + ``<key>.meta.json`` pairs of the
+        directory layout (one ``community`` array per archive, as
+        :func:`~repro.datasets.io.save_communities` writes it) and
+        registers them all in one transaction, so an unreadable or
+        foreign archive registers nothing.
+        """
+        root = Path(root)
+        if not root.is_dir():
+            raise ValidationError(f"no directory to import at {root}")
+        imported: dict[str, Community] = {}
+        for path in sorted(root.glob("*.npz")):
+            archive = load_communities(path)
+            if list(archive) != ["community"]:
+                raise ValidationError(
+                    f"{path} is not a community archive: it holds "
+                    f"{sorted(archive)}, not one 'community' array"
+                )
+            imported[path.stem] = archive["community"]
         if imported:
             self.register_many(imported)
         return sorted(imported)
-
-    def export_directory(
-        self, root: str | Path, *, keys: Iterable[str] | None = None
-    ) -> list[str]:
-        """Export communities into a ``CommunityCatalog`` directory."""
-        from ..datasets.catalog import CommunityCatalog
-
-        legacy = CommunityCatalog(root)
-        exported = sorted(keys) if keys is not None else self.keys()
-        for key in exported:
-            legacy.register(key, self.get(key))
-        return exported
 
     # -- accounting --------------------------------------------------------
     def io_stats(self) -> dict[str, int]:
@@ -676,14 +549,7 @@ class PersistentCatalog:
             (vector_bytes,) = self._connection.execute(
                 "SELECT COALESCE(SUM(LENGTH(data)), 0) FROM vectors"
             ).fetchone()
-            (cache_entries,) = self._connection.execute(
-                "SELECT COUNT(*) FROM similarity_cache"
-            ).fetchone()
-        return {
-            "communities": int(communities),
-            "vector_bytes": int(vector_bytes),
-            "cache_entries": int(cache_entries),
-        }
+        return {"communities": int(communities), "vector_bytes": int(vector_bytes)}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"PersistentCatalog(path={str(self.path)!r}, communities={len(self)})"

@@ -14,6 +14,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from ._version import __version__
@@ -107,6 +108,18 @@ def _emit_telemetry(args, records, metrics, **header: object) -> None:
         summary = summarize_records(records)
     print("-- telemetry --")
     print(summary.render())
+
+
+def _missing_database(path: str | None) -> bool:
+    """True, after one line on stderr, when ``path`` names no file.
+
+    Opening a catalog creates its database, so every command but
+    ``catalog import`` checks first that a mistyped path is not made.
+    """
+    if path is None or os.path.isfile(path):
+        return False
+    print(f"repro-csj: no catalog database at {path}", file=sys.stderr)
+    return True
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -329,18 +342,11 @@ def build_parser() -> argparse.ArgumentParser:
     catalog_sub = catalog.add_subparsers(dest="catalog_command", required=True)
 
     cat_import = catalog_sub.add_parser(
-        "import", help="import a directory-based community catalog"
+        "import", help="register a directory of <key>.npz community archives"
     )
     cat_import.add_argument("db", help="catalog database path (created if missing)")
-    cat_import.add_argument("directory", help="CommunityCatalog root to import")
-
-    cat_export = catalog_sub.add_parser(
-        "export", help="export communities to a directory-based catalog"
-    )
-    cat_export.add_argument("db", help="catalog database path")
-    cat_export.add_argument("directory", help="destination CommunityCatalog root")
-    cat_export.add_argument(
-        "--keys", nargs="*", default=None, help="export only these keys"
+    cat_import.add_argument(
+        "directory", help="directory of <key>.npz + <key>.meta.json archives"
     )
 
     cat_ls = catalog_sub.add_parser("ls", help="list catalogued communities")
@@ -510,22 +516,14 @@ def main(argv: list[str] | None = None) -> int:
     if command == "catalog":
         from .catalog import PersistentCatalog
 
+        if args.catalog_command != "import" and _missing_database(args.db):
+            return 2
         with PersistentCatalog(args.db) as catalog:
             if args.catalog_command == "import":
                 imported = catalog.import_directory(args.directory)
                 print(
                     f"imported {len(imported)} communities from "
                     f"{args.directory} into {args.db}"
-                )
-                return 0
-
-            if args.catalog_command == "export":
-                exported = catalog.export_directory(
-                    args.directory, keys=args.keys
-                )
-                print(
-                    f"exported {len(exported)} communities from "
-                    f"{args.db} to {args.directory}"
                 )
                 return 0
 
@@ -541,8 +539,7 @@ def main(argv: list[str] | None = None) -> int:
                 storage = catalog.storage_stats()
                 print(
                     f"{storage['communities']} communities, "
-                    f"{storage['vector_bytes']} vector bytes, "
-                    f"{storage['cache_entries']} cached joins"
+                    f"{storage['vector_bytes']} vector bytes"
                 )
                 return 0
 
@@ -581,6 +578,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.shard_command == "partition":
             from .catalog import PersistentCatalog
 
+            if _missing_database(args.db):
+                return 2
             with PersistentCatalog(args.db) as catalog:
                 plan = partition_catalog(
                     catalog,
@@ -685,6 +684,9 @@ def main(argv: list[str] | None = None) -> int:
 
     if command == "serve":
         import asyncio
+
+        if _missing_database(args.catalog):
+            return 2
 
         from .serve import AdmissionPolicy, CommunityStore, CSJServer, ServeConfig
 

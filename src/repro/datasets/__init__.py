@@ -23,7 +23,6 @@ from .couples import (
     couples_for_table,
     scale_size,
 )
-from .catalog import CachedSimilarity, CommunityCatalog
 from .manifest import build_manifest, load_manifest, save_manifest, verify_manifest
 from .io import load_communities, load_couple, save_communities, save_couple
 from .streams import (
@@ -43,8 +42,6 @@ __all__ = [
     "verify_manifest",
     "save_manifest",
     "load_manifest",
-    "CachedSimilarity",
-    "CommunityCatalog",
     "LikeEvent",
     "LikeStreamSimulator",
     "MutationEvent",

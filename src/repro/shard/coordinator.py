@@ -43,7 +43,7 @@ import numpy as np
 
 from ..algorithms import get_algorithm
 from ..analysis.sweeps import SweepPoint
-from ..apps.topk import PairScore, _joinable_mask, _rank_pairs, _validate, _zero_score
+from ..apps.topk import PairScore, _joinable_mask, _rank_pairs, _same_dims, _validate, _zero_score
 from ..catalog import PersistentCatalog
 from ..core.errors import ConfigurationError, ReproError
 from ..core.types import CSJResult
@@ -332,6 +332,7 @@ class ShardCoordinator:
         for method in (screen_method, refine_method):
             get_algorithm(method, epsilon, **options)
         _validate([], k, screen_margin)
+        _same_dims([n_dims for _, n_dims in self.plan.metadata.values()])
 
         responses, missing = self._fanout(
             "candidates", {"epsilon": epsilon}, range(self.plan.n_shards)

@@ -261,12 +261,10 @@ class TestEpsilonValidation:
             lambda: catalog.candidate_keys(first, epsilon),
             lambda: catalog.window_candidates(catalog.envelope(first), epsilon),
             lambda: catalog.pair_screened(first, second, epsilon),
-            lambda: catalog.similarity(first, second, epsilon=epsilon),
         ]
         for call in calls:
             with pytest.raises(ValidationError, match="epsilon"):
                 call()
-        assert catalog.cache_size() == 0
 
     @pytest.mark.parametrize("epsilon", BAD + [-1])
     def test_store_entry_points(self, catalog, epsilon):

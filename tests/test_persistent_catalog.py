@@ -9,7 +9,6 @@ import threading
 import numpy as np
 import pytest
 
-from repro import csj_similarity
 from repro.apps import top_k_pairs
 from repro.analysis.sweeps import catalog_epsilon_sweep, epsilon_sweep
 from repro.catalog import (
@@ -18,12 +17,13 @@ from repro.catalog import (
     content_fingerprint,
     init_catalog_metrics,
 )
-from repro.core.errors import ConfigurationError, ValidationError
+from repro.core.errors import ConfigurationError, DimensionMismatchError, ValidationError
 from repro.core.types import Community
-from repro.datasets.catalog import CommunityCatalog
+from repro.datasets.io import save_communities, save_couple
 from repro.engine.envelope import community_envelope, envelopes_separated
 from repro.obs import MetricsRegistry
 from repro.serve import CatalogBackedStore, UnknownCommunityError
+from repro.shard import ShardFleet, partition_catalog
 from tests.conftest import banded_community_fleet
 
 pytestmark = pytest.mark.catalog
@@ -40,6 +40,13 @@ def register_fleet(catalog: PersistentCatalog, fleet: list[Community]) -> list[s
         catalog.register(community.name, community)
         keys.append(community.name)
     return keys
+
+
+def write_archives(root, fleet: list[Community]) -> None:
+    """The directory layout ``import_directory`` reads: one archive per key."""
+    root.mkdir(parents=True, exist_ok=True)
+    for community in fleet:
+        save_communities(root / f"{community.name}.npz", {"community": community})
 
 
 def brute_force_surviving_pairs(
@@ -123,6 +130,12 @@ class TestRegistry:
         assert len(catalog) == len(fleet)
         stats = catalog.io_stats()
         assert stats["repro_catalog_registrations_total"] == len(fleet)
+
+    def test_new_database_has_two_tables(self, catalog):
+        tables = catalog._connection.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'table' ORDER BY name"
+        ).fetchall()
+        assert [name for (name,) in tables] == ["communities", "vectors"]
 
     def test_metrics_mirrored(self, tmp_path):
         metrics = MetricsRegistry()
@@ -270,139 +283,110 @@ class TestCandidatePairs:
             )
 
 
-class TestSimilarityCache:
-    def test_miss_then_hit(self, catalog):
-        base = make_community("base", 20)
-        catalog.register("base", base)
-        catalog.register("twin", Community("twin", base.vectors, "Sport"))
-        first = catalog.similarity("base", "twin", epsilon=1)
-        second = catalog.similarity("base", "twin", epsilon=1)
-        assert not first.from_cache
-        assert second.from_cache
-        assert second.similarity == first.similarity == pytest.approx(1.0)
+class TestContentFingerprint:
+    def test_same_bytes_different_dtype_differ(self):
+        # 4607182418800017408 is the int64 whose bit pattern equals the
+        # IEEE-754 encoding of float64 1.0 — byte-identical buffers.
+        as_int = np.array([[4607182418800017408]], dtype=np.int64)
+        as_float = np.array([[1.0]], dtype=np.float64)
+        assert as_int.tobytes() == as_float.tobytes()
+        assert content_fingerprint(as_int) != content_fingerprint(as_float)
 
-    def test_hit_serves_without_vector_io(self, catalog):
-        catalog.register("a", make_community("A", 21))
-        catalog.register("b", make_community("B", 21))
-        catalog.similarity("a", "b", epsilon=1)
-        before = catalog.io_stats()["repro_catalog_vector_loads_total"]
-        catalog.similarity("a", "b", epsilon=1)
-        assert catalog.io_stats()["repro_catalog_vector_loads_total"] == before
+    def test_same_bytes_different_shape_differ(self):
+        flat = np.arange(6, dtype=np.int64).reshape(1, 6)
+        tall = np.arange(6, dtype=np.int64).reshape(6, 1)
+        assert flat.tobytes() == tall.tobytes()
+        assert content_fingerprint(flat) != content_fingerprint(tall)
 
-    def test_distinct_parameters_distinct_entries(self, catalog):
-        catalog.register("a", make_community("A", 22))
-        catalog.register("b", make_community("B", 22))
-        catalog.similarity("a", "b", epsilon=1)
-        catalog.similarity("a", "b", epsilon=2)
-        catalog.similarity("a", "b", epsilon=1, method="ap-minmax")
-        catalog.similarity("a", "b", epsilon=1, matcher="hopcroft_karp")
-        assert catalog.cache_size() == 4
-
-    def test_reregistration_invalidates(self, catalog):
-        catalog.register("a", make_community("A", 23))
-        catalog.register("b", make_community("B", 23))
-        catalog.similarity("a", "b", epsilon=1)
-        catalog.register("a", make_community("A", 24))
-        assert catalog.cache_size() == 0
-        assert not catalog.similarity("a", "b", epsilon=1).from_cache
-
-    def test_remove_purges_cache(self, catalog):
-        catalog.register("a", make_community("A", 25))
-        catalog.register("b", make_community("B", 25))
-        catalog.similarity("a", "b", epsilon=1)
-        catalog.remove("a")
-        assert catalog.cache_size() == 0
-
-    def test_cache_persists_across_handles(self, tmp_path):
-        path = tmp_path / "c.db"
-        with PersistentCatalog(path) as cat:
-            cat.register("a", make_community("A", 26))
-            cat.register("b", make_community("B", 26))
-            cat.similarity("a", "b", epsilon=1)
-        with PersistentCatalog(path) as reopened:
-            assert reopened.cache_size() == 1
-            assert reopened.similarity("a", "b", epsilon=1).from_cache
-
-    def test_clear_cache(self, catalog):
-        catalog.register("a", make_community("A", 27))
-        catalog.register("b", make_community("B", 27))
-        catalog.similarity("a", "b", epsilon=1)
-        catalog.clear_cache()
-        assert catalog.cache_size() == 0
-
-    def test_matches_direct_join(self, catalog):
-        community_b = make_community("b", 28, n=15)
-        community_a = make_community("a", 28, n=25)
-        catalog.register("b", community_b)
-        catalog.register("a", community_a)
-        cached = catalog.similarity("b", "a", epsilon=1)
-        direct = csj_similarity(community_b, community_a, epsilon=1)
-        assert cached.similarity == pytest.approx(direct.similarity)
-        assert cached.n_matched == direct.n_matched
+    def test_stable_for_equal_content(self):
+        one = make_community("X", 50)
+        two = Community("Y", one.vectors.copy(), "Media")
+        assert content_fingerprint(one.vectors) == content_fingerprint(two.vectors)
 
 
 class TestCrashSafety:
     def test_uncommitted_writer_leaves_no_trace(self, tmp_path):
         path = tmp_path / "crash.db"
+        fleet = {"a": make_community("A", 29), "b": make_community("B", 29)}
         with PersistentCatalog(path) as catalog:
-            catalog.register("a", make_community("A", 29))
-            catalog.register("b", make_community("B", 29))
-            # A second writer begins a cache write and "crashes" (its
-            # connection closes with the transaction open).  WAL rolls
-            # the transaction back: nothing torn, nothing visible.
+            catalog.register_many(fleet)
+            # A second writer begins deleting every vector and "crashes"
+            # (its connection closes with the transaction open).  WAL
+            # rolls the transaction back: nothing torn, nothing lost.
             raw = sqlite3.connect(str(path), isolation_level=None)
             raw.execute("BEGIN IMMEDIATE")
-            raw.execute(
-                "INSERT INTO similarity_cache "
-                "(key_b, key_a, method, epsilon, options, fingerprint_b, "
-                " fingerprint_a, similarity, n_matched, created_at) "
-                "VALUES ('a', 'b', 'ex-minmax', 1, '()', 'x', 'y', 0.5, 3, 0)",
-            )
+            raw.execute("DELETE FROM vectors")
             raw.close()
-            assert catalog.cache_size() == 0
+            with PersistentCatalog(path) as reopened:
+                for handle in (catalog, reopened):
+                    assert handle.keys() == ["a", "b"]
+                    for key, community in fleet.items():
+                        assert np.array_equal(
+                            handle.get(key).vectors, community.vectors
+                        )
             # The store still works end to end after the crash.
             catalog.register("c", make_community("C", 30))
-            assert not catalog.similarity("a", "b", epsilon=1).from_cache
-            assert catalog.cache_size() == 1
+            assert catalog.keys() == ["a", "b", "c"]
+
+
+class TestOlderDatabase:
+    """A database written while the catalog still kept a join cache
+    opens, registers, removes and ranks; the leftover table is ignored,
+    not dropped."""
+
+    LEFTOVER_DDL = """
+    CREATE TABLE similarity_cache (
+        key_b         TEXT NOT NULL,
+        key_a         TEXT NOT NULL,
+        method        TEXT NOT NULL,
+        epsilon       INTEGER NOT NULL,
+        options       TEXT NOT NULL DEFAULT '()',
+        fingerprint_b TEXT NOT NULL,
+        fingerprint_a TEXT NOT NULL,
+        similarity    REAL NOT NULL,
+        n_matched     INTEGER NOT NULL,
+        created_at    REAL NOT NULL,
+        PRIMARY KEY (
+            key_b, key_a, method, epsilon, options,
+            fingerprint_b, fingerprint_a
+        )
+    );
+    """
+
+    def test_leftover_join_cache_is_ignored(self, tmp_path):
+        path = tmp_path / "old.db"
+        fleet = banded_community_fleet(2, 3, seed=48)
+        first, second = sorted(c.name for c in fleet)[:2]
+        with PersistentCatalog(path) as catalog:
+            register_fleet(catalog, fleet)
+        raw = sqlite3.connect(str(path))
+        raw.executescript(self.LEFTOVER_DDL)
+        raw.execute(
+            "INSERT INTO similarity_cache VALUES "
+            "(?, ?, 'ex-minmax', 1, '()', 'x', 'y', 0.5, 3, 0)",
+            (first, second),
+        )
+        raw.commit()
+        raw.close()
+
+        extra = make_community("extra", 49, d=fleet[0].n_dims)
+        with PersistentCatalog(path) as catalog:
+            catalog.register("extra", extra)
+            catalog.remove(first)
+            kept = [c for c in fleet if c.name != first] + [extra]
+            assert catalog.keys() == sorted(c.name for c in kept)
+            expected = top_k_pairs(kept, epsilon=1, k=6)
+            actual = top_k_pairs(catalog, epsilon=1, k=6)
+            assert [(s.label, s.similarity) for s in actual] == [
+                (s.label, s.similarity) for s in expected
+            ]
+        raw = sqlite3.connect(str(path))
+        rows = raw.execute("SELECT key_b, key_a FROM similarity_cache").fetchall()
+        raw.close()
+        assert rows == [(first, second)]
 
 
 class TestConcurrency:
-    def test_two_handles_interleaved_writes_both_survive(self, tmp_path):
-        """The JSON shim's last-writer-wins clobbering is gone.
-
-        With ``CommunityCatalog`` two handles each hold the whole cache
-        dict in memory and write it back wholesale, so the second save
-        silently drops the first handle's entry.  Here both writes land
-        as rows; each handle sees the other's entry.
-        """
-        path = tmp_path / "two.db"
-        with PersistentCatalog(path) as one, PersistentCatalog(path) as two:
-            one.register("a", make_community("A", 31))
-            one.register("b", make_community("B", 31))
-            one.register("c", make_community("C", 31))
-            one.register("d", make_community("D", 31))
-            # Interleaved: both handles computed before either wrote
-            # would be the JSON-clobbering scenario; rows are upserts.
-            one.similarity("a", "b", epsilon=1)
-            two.similarity("c", "d", epsilon=1)
-            assert one.cache_size() == 2
-            assert two.cache_size() == 2
-            assert two.similarity("a", "b", epsilon=1).from_cache
-            assert one.similarity("c", "d", epsilon=1).from_cache
-
-    def test_json_shim_clobbers_for_contrast(self, tmp_path):
-        """Documents the bug the persistent catalog fixes (shim behavior)."""
-        root = tmp_path / "legacy"
-        one = CommunityCatalog(root)
-        one.register("a", make_community("A", 32))
-        one.register("b", make_community("B", 32))
-        one.register("c", make_community("C", 32))
-        one.register("d", make_community("D", 32))
-        two = CommunityCatalog(root)  # snapshots the (empty) cache now
-        one.similarity("a", "b", epsilon=1)
-        two.similarity("c", "d", epsilon=1)  # writes back without (a, b)
-        assert CommunityCatalog(root).cache_size() == 1
-
     def test_threaded_writes_none_lost(self, tmp_path):
         path = tmp_path / "threads.db"
         fleet = banded_community_fleet(2, 6, seed=33)
@@ -437,41 +421,37 @@ class TestConcurrency:
 
 
 class TestInterop:
-    def test_import_export_roundtrip(self, tmp_path):
-        legacy = CommunityCatalog(tmp_path / "legacy")
+    def test_import_reads_catalog_archives(self, tmp_path):
         fleet = banded_community_fleet(2, 2, seed=35)
-        for community in fleet:
-            legacy.register(community.name, community)
+        write_archives(tmp_path / "archives", fleet)
         with PersistentCatalog(tmp_path / "cat.db") as catalog:
-            imported = catalog.import_directory(tmp_path / "legacy")
+            imported = catalog.import_directory(tmp_path / "archives")
             assert imported == sorted(c.name for c in fleet)
-            exported_root = tmp_path / "exported"
-            catalog.export_directory(exported_root)
-            reread = CommunityCatalog(exported_root)
+            assert catalog.io_stats()["repro_catalog_registrations_total"] == len(
+                fleet
+            )
             for community in fleet:
-                assert np.array_equal(
-                    reread.get(community.name).vectors, community.vectors
-                )
+                loaded = catalog.get(community.name)
+                assert loaded.name == community.name
+                assert loaded.category == community.category
+                assert np.array_equal(loaded.vectors, community.vectors)
 
     def test_import_empty_directory(self, tmp_path, catalog):
+        (tmp_path / "empty").mkdir()
         assert catalog.import_directory(tmp_path / "empty") == []
 
-    def test_export_subset(self, tmp_path, catalog):
-        catalog.register("a", make_community("A", 36))
-        catalog.register("b", make_community("B", 36))
-        exported = catalog.export_directory(tmp_path / "sub", keys=["a"])
-        assert exported == ["a"]
-        assert CommunityCatalog(tmp_path / "sub").keys() == ["a"]
+    def test_import_missing_directory_rejected(self, tmp_path, catalog):
+        with pytest.raises(ValidationError, match="no directory"):
+            catalog.import_directory(tmp_path / "missing")
+        assert not (tmp_path / "missing").exists()
 
-    def test_fingerprints_agree_with_shim(self, catalog, tmp_path):
-        """Both stores hash content identically (shim truncates)."""
-        from repro.datasets.catalog import _fingerprint
-
-        community = make_community("x", 37)
-        catalog.register("x", community)
-        assert catalog.metadata("x").fingerprint.startswith(
-            _fingerprint(community)
-        )
+    def test_import_foreign_archive_registers_nothing(self, tmp_path, catalog):
+        fleet = banded_community_fleet(1, 2, seed=36)
+        write_archives(tmp_path / "mixed", fleet)
+        save_couple(tmp_path / "mixed" / "couple.npz", *fleet)
+        with pytest.raises(ValidationError, match="couple.npz"):
+            catalog.import_directory(tmp_path / "mixed")
+        assert len(catalog) == 0
 
 
 class TestTopKOverCatalog:
@@ -596,17 +576,15 @@ class TestCatalogBackedStore:
 
 
 class TestCatalogCLI:
-    def test_import_ls_query_export(self, tmp_path, capsys):
+    def test_import_ls_query(self, tmp_path, capsys):
         from repro.cli import main
 
-        legacy_root = tmp_path / "legacy"
-        legacy = CommunityCatalog(legacy_root)
+        archives = tmp_path / "archives"
         fleet = banded_community_fleet(2, 2, seed=47)
-        for community in fleet:
-            legacy.register(community.name, community)
+        write_archives(archives, fleet)
         db = tmp_path / "cli.db"
 
-        assert main(["catalog", "import", str(db), str(legacy_root)]) == 0
+        assert main(["catalog", "import", str(db), str(archives)]) == 0
         assert "imported 4 communities" in capsys.readouterr().out
 
         assert main(["catalog", "ls", str(db)]) == 0
@@ -620,9 +598,88 @@ class TestCatalogCLI:
         out = capsys.readouterr().out
         assert "vector loads: 0" in out
 
-        export_root = tmp_path / "exported"
-        assert main(
-            ["catalog", "export", str(db), str(export_root), "--keys", probe]
-        ) == 0
-        assert "exported 1 communities" in capsys.readouterr().out
-        assert CommunityCatalog(export_root).keys() == [probe]
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["catalog", "ls", "{db}"],
+            ["catalog", "query", "{db}", "probe"],
+            ["shard", "partition", "{db}", "{out}"],
+            ["serve", "--catalog", "{db}", "--port", "0"],
+        ],
+        ids=["catalog-ls", "catalog-query", "shard-partition", "serve"],
+    )
+    def test_missing_database_exits_2(self, tmp_path, capsys, monkeypatch, command):
+        from repro.cli import main
+
+        def serve_nothing(coroutine):
+            coroutine.close()
+            raise AssertionError("serve started on a missing database")
+
+        # Without the check, `serve` would listen forever on the new file.
+        monkeypatch.setattr("asyncio.run", serve_nothing)
+        db = tmp_path / "typo.db"
+        argv = [
+            part.format(db=db, out=tmp_path / "shards") for part in command
+        ]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"repro-csj: no catalog database at {db}\n"
+        assert sorted(tmp_path.iterdir()) == []
+
+
+@pytest.mark.shard
+class TestMixedDimensions:
+    """A ranking needs one dimensionality: every source refuses a fleet
+    that mixes them before it loads a vector or asks a shard."""
+
+    @pytest.fixture
+    def fleet(self) -> list[Community]:
+        line = np.arange(0, 50, 10)
+        return [
+            Community("a", np.stack([line, line], axis=1)),
+            Community("b", np.array([[0, 1], [10, 11], [20, 21], [30, 31], [90, 90]])),
+            Community("c", np.stack([line, line, line], axis=1)),
+            Community(
+                "d",
+                np.array(
+                    [[1, 0, 0], [10, 11, 10], [20, 20, 21], [70, 70, 70], [90, 90, 90]]
+                ),
+            ),
+        ]
+
+    @pytest.fixture
+    def loaded(self, catalog, fleet) -> PersistentCatalog:
+        register_fleet(catalog, fleet)
+        return catalog
+
+    def test_list_source(self, fleet):
+        with pytest.raises(DimensionMismatchError):
+            top_k_pairs(fleet, epsilon=1, k=6)
+
+    @pytest.mark.parametrize("envelope_screen", [True, False])
+    def test_catalog_source(self, loaded, envelope_screen):
+        with pytest.raises(DimensionMismatchError):
+            top_k_pairs(loaded, epsilon=1, k=6, envelope_screen=envelope_screen)
+        assert loaded.io_stats()["repro_catalog_vector_loads_total"] == 0
+
+    @pytest.mark.parametrize("subset,similarity", [(["a", "b"], 0.8), (["c", "d"], 0.6)])
+    def test_catalog_subset_of_one_dimensionality_ranks(
+        self, loaded, fleet, subset, similarity
+    ):
+        scores = top_k_pairs(loaded, epsilon=1, k=6, keys=subset)
+        expected = top_k_pairs([c for c in fleet if c.name in subset], epsilon=1, k=6)
+        assert [(s.label, s.similarity) for s in scores] == [
+            (s.label, s.similarity) for s in expected
+        ]
+        assert [s.similarity for s in scores] == [similarity]
+
+    def test_shard_source(self, tmp_path, loaded):
+        partition_catalog(loaded, tmp_path / "p", 2, epsilon=1)
+        metrics = MetricsRegistry()
+        with ShardFleet(tmp_path / "p") as shards:
+            with shards.coordinator(metrics=metrics) as coordinator:
+                with pytest.raises(DimensionMismatchError):
+                    coordinator.top_k(epsilon=1, k=6)
+        counters = metrics.snapshot()["counters"]
+        assert counters.get("repro_shard_requests_total", 0) == 0
