@@ -123,7 +123,6 @@ def top_k_pairs(
     refine_method: str = "ex-minmax",
     screen_margin: float = 0.8,
     cache: JoinResultCache | int | None = None,
-    envelope_screen: bool = True,
     metrics: MetricsRegistry | None = None,
     telemetry: list[JoinTelemetry] | None = None,
     checkpoint: CheckpointLog | str | Path | None = None,
@@ -133,14 +132,14 @@ def top_k_pairs(
     """The k most similar pairs among ``communities``.
 
     Every unordered pair satisfying the CSJ size-ratio rule is ranked.
-    With ``envelope_screen`` (the default), pairs whose per-dimension
-    min/max envelopes prove a zero similarity are ranked at 0 without
-    a join; every other pair is screened with the approximate method.
-    The best ``k / screen_margin`` entries of that ranking form the
-    refinement pool: its envelope survivors are joined exactly, and
-    the top ``k`` refined pairs are returned sorted by descending
-    similarity (name tie-break).  Turning the envelope screen off
-    joins every pair and leaves the ranking unchanged.
+    Pairs whose per-dimension min/max envelopes prove a zero similarity
+    are ranked at 0 without a join; every other pair is screened with
+    the approximate method.  The best ``k / screen_margin`` entries of
+    that ranking form the refinement pool: its envelope survivors are
+    joined exactly, and the top ``k`` refined pairs are returned sorted
+    by descending similarity (name tie-break).  The envelope test is
+    sound, so the ranking equals :func:`top_k_pairs_reference`'s, which
+    joins every pair.
 
     ``screen_margin`` < 1 widens the refinement pool to protect against
     approximate underestimation promoting the wrong pairs.
@@ -178,13 +177,11 @@ def top_k_pairs(
         _same_dims([record.n_dims for record in records])
         sizes = [record.n_users for record in records]
         joinable = _joinable_mask(sizes)
-        live = joinable
-        if envelope_screen:
-            row = {key: index for index, key in enumerate(names)}
-            candidates = np.zeros_like(joinable)
-            for first, second in catalog.candidate_pairs(epsilon, keys=names):
-                candidates[row[first], row[second]] = True
-            live = joinable & candidates
+        row = {key: index for index, key in enumerate(names)}
+        candidates = np.zeros_like(joinable)
+        for first, second in catalog.candidate_pairs(epsilon, keys=names):
+            candidates[row[first], row[second]] = True
+        live = joinable & candidates
         # The only vector loads of the whole ranking: one per live community.
         needed = np.flatnonzero(live.any(axis=0) | live.any(axis=1)).tolist()
         roster = []
@@ -208,7 +205,7 @@ def top_k_pairs(
         sizes = [community.n_users for community in communities]
         joinable = _joinable_mask(sizes)
         live = joinable
-        if envelope_screen and joinable.any():
+        if joinable.any():
             mins, maxs = stack_envelopes(
                 [community_envelope(community) for community in communities]
             )
@@ -357,12 +354,11 @@ def top_k_pairs_reference(
     screen_margin: float = 0.8,
     **options: object,
 ) -> list[PairScore]:
-    """Pre-engine serial implementation, kept as an oracle and baseline.
+    """Pre-engine serial implementation, kept as an oracle.
 
     Joins every pair in-process with no envelope screen and no cache
     (algorithm instances are still built once per phase).  The engine
-    tests assert :func:`top_k_pairs` matches this ranking exactly, and
-    ``benchmarks/bench_engine_batch.py`` measures the engine against it.
+    tests assert :func:`top_k_pairs` matches this ranking exactly.
     """
     _validate(communities, k, screen_margin)
     screener = get_algorithm(screen_method, epsilon, **options)

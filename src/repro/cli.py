@@ -196,11 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     topk.add_argument(
         "--epsilon", type=int, default=None, help="defaults to the dataset's epsilon"
     )
-    topk.add_argument(
-        "--no-screen",
-        action="store_true",
-        help="disable the envelope pre-screen",
-    )
     _add_engine_arguments(topk)
     _add_telemetry_arguments(topk)
 
@@ -470,48 +465,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     shard_sweep.add_argument("--allow-partial", action="store_true")
 
-    lint = subparsers.add_parser(
-        "lint", help="run the repro.lint invariant checker"
+    # Everything after ``lint`` goes to the repro-lint parser unparsed.
+    subparsers.add_parser(
+        "lint",
+        add_help=False,
+        help="run the repro.lint invariant checker (takes repro-lint's arguments)",
     )
-    lint.add_argument(
-        "paths", nargs="*", default=None,
-        help="files or directories to lint (default: src/repro)",
-    )
-    lint.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text"
-    )
-    lint.add_argument("--select", default=None, metavar="IDS")
-    lint.add_argument("--ignore", default=None, metavar="IDS")
-    lint.add_argument("--show-suppressed", action="store_true")
-    lint.add_argument("--list-rules", action="store_true")
-    lint.add_argument("--changed-only", default=None, metavar="GIT_REF")
-    lint.add_argument("--baseline", default=None, metavar="FILE")
-    lint.add_argument("--no-baseline", action="store_true")
-    lint.add_argument("--baseline-update", action="store_true")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, rest = parser.parse_known_args(argv)
     command: str = args.command
 
     if command == "lint":
-        from .lint import cli as lint_cli
+        from .lint.cli import main as lint_main
 
-        if args.list_rules:
-            print(lint_cli.list_rules())
-            return 0
-        return lint_cli.run_lint(
-            list(args.paths) if args.paths else lint_cli.default_paths(),
-            report_format=args.format,
-            select=args.select,
-            ignore=args.ignore,
-            show_suppressed=args.show_suppressed,
-            changed_only=args.changed_only,
-            baseline_path=args.baseline,
-            no_baseline=args.no_baseline,
-            baseline_update=args.baseline_update,
-        )
+        return lint_main(rest)
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
 
     if command == "catalog":
         from .catalog import PersistentCatalog
@@ -947,7 +920,6 @@ def main(argv: list[str] | None = None) -> int:
             communities,
             epsilon=epsilon,
             k=args.k,
-            envelope_screen=not args.no_screen,
             metrics=metrics,
             telemetry=records,
             **_engine_kwargs(args),

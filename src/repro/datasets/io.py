@@ -9,6 +9,7 @@ methods on byte-identical inputs.
 from __future__ import annotations
 
 import json
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -47,16 +48,34 @@ def save_communities(path: str | Path, communities: dict[str, Community]) -> Pat
 
 
 def load_communities(path: str | Path) -> dict[str, Community]:
-    """Load a set of communities saved by :func:`save_communities`."""
+    """Load a set of communities saved by :func:`save_communities`.
+
+    A file that is not an ``.npz`` archive, or metadata that is not a
+    JSON object of per-key objects, raises :class:`ValidationError`
+    naming the file.
+    """
     path = Path(path).with_suffix(".npz")
     if not path.exists():
         raise ValidationError(f"no such dataset archive: {path}")
     meta_path = _meta_path(path)
     if not meta_path.exists():
         raise ValidationError(f"missing metadata file: {meta_path}")
-    metadata = json.loads(meta_path.read_text())
+    try:
+        metadata = json.loads(meta_path.read_text())
+    except ValueError:
+        metadata = None
+    if not isinstance(metadata, dict) or not all(
+        isinstance(info, dict) for info in metadata.values()
+    ):
+        raise ValidationError(f"{meta_path} does not hold a JSON object of objects")
+    try:
+        archive = np.load(path, allow_pickle=False)
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile):
+        archive = None
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise ValidationError(f"{path} is not an .npz archive")
     communities: dict[str, Community] = {}
-    with np.load(path) as archive:
+    with archive:
         for key in archive.files:
             info = metadata.get(key, {})
             communities[key] = Community(

@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
+from ..core.errors import DimensionMismatchError
 from ..core.types import Envelope, community_envelope
 from ..core.validation import validate_epsilon
 
@@ -136,8 +137,11 @@ def envelopes_separated(
     envelopes may overlap while no individual pair matches).  With
     ``metrics`` attached, every test is counted into
     ``repro_engine_envelope_tests_total`` and positive verdicts additionally into
-    ``repro_engine_envelope_separations_total``.
+    ``repro_engine_envelope_separations_total``.  Envelopes of
+    different dimensionality raise :class:`DimensionMismatchError`.
     """
+    if first.n_dims != second.n_dims:
+        raise DimensionMismatchError(first.n_dims, second.n_dims)
     gap_low = second.mins - first.maxs  # second strictly above first
     gap_high = first.mins - second.maxs  # first strictly above second
     separated = bool((gap_low > epsilon).any() or (gap_high > epsilon).any())

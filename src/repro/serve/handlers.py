@@ -182,7 +182,6 @@ class JoinWork:
     epsilon: int
     options: dict[str, object]
     cache: JoinResultCache | None
-    screen: bool
     enforce_size_ratio: bool
     collect_metrics: bool = False
 
@@ -198,7 +197,6 @@ class TopkWork:
     refine_method: str
     options: dict[str, object]
     cache: JoinResultCache | None
-    screen: bool
     collect_metrics: bool = False
     names: list[str] = field(default_factory=list)
 
@@ -218,7 +216,6 @@ def plan_join(server: "CSJServer", args: Mapping[str, object]) -> JoinWork:
         epsilon=epsilon,
         options=_arg_options(args, epsilon, (method,)),
         cache=server.cache,
-        screen=_arg_bool(args, "screen", config.screen),
         enforce_size_ratio=_arg_bool(
             args, "enforce_size_ratio", config.enforce_size_ratio
         ),
@@ -248,7 +245,6 @@ def plan_topk(server: "CSJServer", args: Mapping[str, object]) -> TopkWork:
         raise ProtocolError("invalid", "'names' must not repeat communities")
     screen_method = _arg_method(args, "screen_method", "ap-minmax")
     refine_method = _arg_method(args, "method", "ex-minmax")
-    config = server.config
     return TopkWork(
         snapshots=server.store.snapshots(names),
         epsilon=epsilon,
@@ -259,7 +255,6 @@ def plan_topk(server: "CSJServer", args: Mapping[str, object]) -> TopkWork:
             args, epsilon, (screen_method, refine_method), _TOPK_PARAMETERS
         ),
         cache=server.cache,
-        screen=_arg_bool(args, "screen", config.screen),
         collect_metrics=True,
         names=names,
     )
@@ -355,7 +350,6 @@ class JoinBatchWork:
     options: dict[str, object]
     include_results: bool
     cache: JoinResultCache | None
-    screen: bool
     collect_metrics: bool = False
 
 
@@ -398,7 +392,6 @@ def plan_join_batch(
         pairs.append((entry[0], entry[1]))
     names = sorted({name for pair in pairs for name in pair})
     method = _arg_method(args, "method", "ap-minmax")
-    config = server.config
     return JoinBatchWork(
         snapshots={name: server.store.snapshot(name) for name in names},
         pairs=pairs,
@@ -407,7 +400,6 @@ def plan_join_batch(
         options=_arg_options(args, epsilon, (method,)),
         include_results=_arg_bool(args, "include_results", False),
         cache=server.cache,
-        screen=_arg_bool(args, "screen", config.screen),
         collect_metrics=True,
     )
 
@@ -449,12 +441,7 @@ def execute_join_batch_work(work: JoinBatchWork) -> tuple[dict, dict | None]:
         PairJob(index_of[first], index_of[second], work.method, work.epsilon, job_options)
         for first, second in work.pairs
     ]
-    with BatchEngine(
-        roster,
-        screen=work.screen,
-        cache=work.cache,
-        metrics=scratch,
-    ) as engine:
+    with BatchEngine(roster, cache=work.cache, metrics=scratch) as engine:
         outcomes = engine.run(jobs)
     entries: list[dict[str, object]] = []
     for (first, second), outcome in zip(work.pairs, outcomes):
@@ -541,7 +528,6 @@ def execute_join_work(work: JoinWork) -> tuple[dict, dict | None]:
     scratch = MetricsRegistry() if work.collect_metrics else None
     with BatchEngine(
         [work.first.community, work.second.community],
-        screen=work.screen,
         cache=work.cache,
         enforce_size_ratio=work.enforce_size_ratio,
         metrics=scratch,
@@ -570,7 +556,6 @@ def execute_topk_work(work: TopkWork) -> tuple[dict, dict | None]:
         screen_method=work.screen_method,
         refine_method=work.refine_method,
         cache=work.cache,
-        envelope_screen=work.screen,
         metrics=scratch,
         **work.options,
     )

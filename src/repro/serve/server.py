@@ -100,7 +100,6 @@ class ServeConfig:
     admission: AdmissionPolicy = field(default_factory=AdmissionPolicy)
     executor_threads: int = 4
     cache_entries: int = 1024
-    screen: bool = True
     enforce_size_ratio: bool = True
     #: Maintain per-couple delta joins for the ``update`` endpoint; off
     #: by default (updates then fall back to full recompute per call).

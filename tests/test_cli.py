@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -29,6 +31,19 @@ class TestParser:
 
 
 class TestMain:
+    def test_lint_takes_the_lint_cli_arguments(self, capsys):
+        from repro.lint.cli import main as lint_main
+
+        assert lint_main(["--list-rules"]) == 0
+        rules = capsys.readouterr().out
+        assert main(["lint", "--list-rules"]) == 0
+        assert capsys.readouterr().out == rules
+        bad = str(Path(__file__).parent / "lint_fixtures" / "rl001_bad.py")
+        assert main(["lint", bad, "--select", "RL001", "--no-baseline"]) == 1
+        assert "RL001" in capsys.readouterr().out
+        assert main(["lint", bad, "--select", "RL004", "--no-baseline"]) == 0
+        assert "RL001" not in capsys.readouterr().out
+
     def test_table1(self, capsys):
         assert main(["table1", "--users", "300"]) == 0
         out = capsys.readouterr().out

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import io
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,13 @@ from repro.datasets.io import (
     save_communities,
     save_couple,
 )
+
+
+def _npy_bytes() -> bytes:
+    """A single-array ``.npy`` file: ``np.load`` reads it, but as no archive."""
+    buffer = io.BytesIO()
+    np.save(buffer, np.zeros((2, 2), dtype=np.int64))
+    return buffer.getvalue()
 
 
 @pytest.fixture
@@ -75,3 +84,23 @@ class TestErrors:
         save_communities(tmp_path / "single", {"only": b})
         with pytest.raises(ValidationError, match="couple"):
             load_couple(tmp_path / "single")
+
+    @pytest.mark.parametrize("load", [load_communities, load_couple])
+    @pytest.mark.parametrize(
+        "content",
+        [b"not a zip", b"", b"PK\x03\x04torn", _npy_bytes()],
+        ids=["text", "empty", "torn-zip", "single-array"],
+    )
+    def test_file_that_is_no_archive_is_named(self, tmp_path, load, content):
+        (tmp_path / "c.npz").write_bytes(content)
+        (tmp_path / "c.meta.json").write_text("{}")
+        with pytest.raises(ValidationError, match=r"c\.npz is not an \.npz archive"):
+            load(tmp_path / "c")
+
+    @pytest.mark.parametrize("load", [load_communities, load_couple])
+    @pytest.mark.parametrize("meta", ["[]", "3", "{not json", '{"B": []}'])
+    def test_metadata_not_an_object_is_named(self, tmp_path, sample_couple, load, meta):
+        path = save_couple(tmp_path / "c", *sample_couple)
+        (tmp_path / "c.meta.json").write_text(meta)
+        with pytest.raises(ValidationError, match=r"c\.meta\.json does not hold a JSON object"):
+            load(path)

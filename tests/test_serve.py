@@ -13,6 +13,7 @@ import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from repro.algorithms.registry import ALGORITHMS
@@ -318,6 +319,55 @@ class TestServiceEndToEnd:
 
         assert payload == json.loads(json.dumps(direct))
 
+    def test_concurrent_clients_all_answered(self):
+        """A closed loop of 4 clients, one connection each: every join is
+        answered ``ok`` with the direct engine's similarity."""
+        communities = _fleet()
+        index_pairs = [
+            (i, j) for i in range(len(communities)) for j in range(i + 1, len(communities))
+        ]
+        with BatchEngine(communities) as engine:
+            outcomes = engine.run(
+                [PairJob.build(i, j, "ex-minmax", EPSILON) for i, j in index_pairs]
+            )
+        expected = {
+            (communities[i].name, communities[j].name): outcome.result.similarity
+            for (i, j), outcome in zip(index_pairs, outcomes)
+        }
+        pairs = list(expected)
+        n_clients, per_client = 4, 15
+        answered: list[tuple[tuple[str, str], float]] = []
+        failures: list[str] = []
+
+        def run_client(seed: int, address) -> None:
+            rng = np.random.default_rng(seed)
+            try:
+                with ServeClient(*address) as client:
+                    for _ in range(per_client):
+                        pair = pairs[int(rng.integers(len(pairs)))]
+                        response = client.join(*pair, epsilon=EPSILON)
+                        answered.append((pair, response["result"]["similarity"]))
+            except Exception as exc:  # pragma: no cover - surfaced below
+                failures.append(repr(exc))
+
+        with ServerThread(store=_store_with_fleet()) as st:
+            threads = [
+                threading.Thread(target=run_client, args=(seed, st.address))
+                for seed in range(n_clients)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            with ServeClient(*st.address) as client:
+                stats = client.stats()
+        assert not failures, failures
+        assert len(answered) == n_clients * per_client
+        assert all(similarity == expected[pair] for pair, similarity in answered)
+        assert stats["requests_by_op"]["join"] == n_clients * per_client
+        assert stats["requests_by_status"]["ok"] >= n_clients * per_client
+
     def test_repeat_join_served_from_cache(self):
         with ServerThread(store=_store_with_fleet()) as st:
             names = st.server.store.names()
@@ -480,16 +530,19 @@ class TestOverloadAndDeadlines:
                 _wait_until(lambda: server.admission.pending == 2)
 
                 with ServeClient(*st.address) as client:
-                    with pytest.raises(OverloadedError) as excinfo:
-                        client.join(names[0], names[1], epsilon=EPSILON)
-                    assert excinfo.value.retry_after_ms == 40.0
+                    # every request of a burst beyond the bound is shed
+                    burst = 4
+                    for _ in range(burst):
+                        with pytest.raises(OverloadedError) as excinfo:
+                            client.join(names[0], names[1], epsilon=EPSILON)
+                        assert excinfo.value.retry_after_ms == 40.0
                     # monitoring plane answers while shedding
                     stats = client.stats()
-                    assert stats["shed_by_reason"] == {"queue_full": 1}
+                    assert stats["shed_by_reason"] == {"queue_full": burst}
                     assert stats["admission"]["pending"] == 2
                     assert server.metrics.counter(
                         "repro_serve_shed_total", reason="queue_full"
-                    ) == 1
+                    ) == burst
 
                     gate.set()  # drain the backlog
                     for _sock, file in parked:

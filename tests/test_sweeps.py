@@ -8,6 +8,7 @@ from repro.analysis.sweeps import epsilon_sweep, render_sweep, scale_sweep
 from repro.core.errors import ConfigurationError
 from repro.core.types import Community
 from repro.datasets import PAPER_COUPLES, VKGenerator
+from repro.engine import JoinResultCache
 from tests.conftest import random_couple
 
 
@@ -36,6 +37,17 @@ class TestEpsilonSweep:
         assert point.parameter == 1.0
         assert point.n_matched >= 0
         assert point.elapsed_seconds >= 0.0
+
+    def test_shared_cache_serves_the_repeat_sweep(self, couple):
+        epsilons = [0, 1, 2, 4, 8]
+        cache = JoinResultCache(max_entries=64)
+        cold = epsilon_sweep(*couple, epsilons=epsilons, cache=cache)
+        assert cache.hits == 0
+        warm = epsilon_sweep(*couple, epsilons=epsilons, cache=cache)
+        assert cache.hits == len(epsilons)
+        assert [(p.similarity_percent, p.n_matched) for p in warm] == [
+            (p.similarity_percent, p.n_matched) for p in cold
+        ]
 
     def test_requires_ascending_epsilons(self, couple):
         with pytest.raises(ConfigurationError, match="ascending"):
