@@ -50,7 +50,7 @@ import numpy as np
 from ..core.encoding import EncodedCandidates, EncodedTargets, MinMaxEncoder
 from ..core.errors import ConfigurationError
 from ..core.events import EventTrace, EventType
-from ..core.matching import get_matcher, linf_match, match_edges
+from ..core.matching import first_fit, get_matcher, linf_match, match_edges
 from ..core.types import Community, CSJResult, EventCounts
 from ..core.validation import validate_pair
 from .base import CSJAlgorithm, Picks, largest_counter
@@ -59,7 +59,7 @@ __all__ = ["ApMinMax", "ExMinMax", "band_edges"]
 
 #: Most ``(b, a)`` band pairs the numpy engines expand at once, which
 #: bounds a band's working memory at about this many d-vectors.
-_BAND_BLOCK_PAIRS = 4096
+_BAND_BLOCK_PAIRS = 16384
 
 #: Most users (``|B| + |A|`` summed over its pairs) one band lays out;
 #: a larger batch runs as several bands, which bounds the layout's
@@ -524,10 +524,12 @@ class ApMinMax(_MinMaxBase):
     ) -> list[_Paired]:
         n_b, n_a = band.n_b, band.n_a
         # Per b, the a position it took (n_a: none); per a, the b that
-        # took it (n_b: still free).  Pairs are disjoint on both sides,
-        # so first fit over global positions is first fit per pair.
+        # took it (n_b: still free), and whether it is taken.  Pairs are
+        # disjoint on both sides, so first fit over global positions is
+        # first fit per pair.
         picked = np.full(n_b, n_a)
         taken_by = np.full(n_a, n_b)
+        used_a = np.zeros(n_a, dtype=bool)
         no_match = np.zeros(band.n_pairs, dtype=np.int64)
         blocks = band.blocks()
         while True:
@@ -538,24 +540,11 @@ class ApMinMax(_MinMaxBase):
             b_pos, a_pos, full = block
             with trace.stage("matching"):
                 # First fit: each b takes its first hit in a order that
-                # is still free, then skips the rest of its row.
+                # is still free.  A block holds whole rows, so only the
+                # used a's carry over from earlier blocks.
                 hit_b, hit_a = b_pos[full], a_pos[full]
-                free = taken_by[hit_a] == n_b
-                hit_b, hit_a = hit_b[free], hit_a[free]
-                row_end = np.searchsorted(hit_b, hit_b, side="right").tolist()
-                hit_b, hit_a = hit_b.tolist(), hit_a.tolist()
-                rows: list[int] = []
-                columns: list[int] = []
-                taken: set[int] = set()
-                k = 0
-                while k < len(hit_a):
-                    if hit_a[k] in taken:
-                        k += 1
-                        continue
-                    taken.add(hit_a[k])
-                    rows.append(hit_b[k])
-                    columns.append(hit_a[k])
-                    k = row_end[k]
+                taken = first_fit(hit_b, hit_a, used_a=used_a)
+                rows, columns = hit_b[taken], hit_a[taken]
                 picked[rows] = columns
                 taken_by[columns] = rows
                 # NO MATCH: the survivors a b scanned before its pick (or

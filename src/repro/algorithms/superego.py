@@ -59,7 +59,7 @@ import numpy as np
 
 from ..core.errors import ConfigurationError
 from ..core.events import EventTrace, EventType
-from ..core.matching import build_adjacency, get_matcher, linf_match_mask, match_edges
+from ..core.matching import build_adjacency, first_fit, get_matcher, linf_match_mask, match_edges
 from ..core.types import Community
 from .base import CSJAlgorithm, Picks, largest_counter
 
@@ -676,7 +676,13 @@ class ApSuperEGO(_SuperEGOBase):
         self, community_b: Community, community_a: Community, trace: EventTrace
     ) -> Picks:
         state = self._run(community_b, community_a, trace)
-        return self._finish(state, state["pairs"], community_b.vectors, community_a.vectors)
+        rows = np.array(state["pairs"], dtype=np.intp).reshape(-1, 2)
+        return self._verify_pairs(
+            state["order_b"][rows[:, 0]],
+            state["order_a"][rows[:, 1]],
+            community_b.vectors,
+            community_a.vectors,
+        )
 
     def _join_numpy(  # type: ignore[override]
         self, community_b: Community, community_a: Community, trace: EventTrace
@@ -685,35 +691,20 @@ class ApSuperEGO(_SuperEGOBase):
         with trace.stage("matching"):
             # First fit over the hits in the order the recursion tests
             # them: a b takes its first hit whose a is still free.
-            used_b = bytearray(community_b.n_users)
-            used_a = bytearray(community_a.n_users)
-            pairs = []
-            for i, j in zip(hits_b.tolist(), hits_a.tolist()):
-                if used_b[i] or used_a[j]:
-                    continue
-                used_b[i] = used_a[j] = 1
-                pairs.append((i, j))
-            self._count(trace, cells, hits_b.size, len(pairs))
-            return self._finish(state, pairs, community_b.vectors, community_a.vectors)
+            taken = first_fit(hits_b, hits_a)
+            self._count(trace, cells, hits_b.size, taken.size)
+            return self._verify_pairs(
+                state["order_b"][hits_b[taken]],
+                state["order_a"][hits_a[taken]],
+                community_b.vectors,
+                community_a.vectors,
+            )
 
     def _count(self, trace: EventTrace, tested: int, hits: int, picks: int) -> None:
         """Each pick is one MATCH, as in the recursion; which cells a
         ``b`` tests before its pick is not tracked, so NO MATCH is not
         counted."""
         trace.emit_bulk(EventType.MATCH, picks)
-
-    def _finish(
-        self,
-        state: dict,
-        pairs: list[tuple[int, int]],
-        vectors_b: np.ndarray,
-        vectors_a: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Map EGO-order pairs back to input rows and verify them."""
-        rows = np.array(pairs, dtype=np.intp).reshape(-1, 2)
-        return self._verify_pairs(
-            state["order_b"][rows[:, 0]], state["order_a"][rows[:, 1]], vectors_b, vectors_a
-        )
 
 
 class ExSuperEGO(_SuperEGOBase):

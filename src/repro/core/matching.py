@@ -18,8 +18,10 @@ ablation benchmark.
 The matchers take the candidate graph as dict-of-set adjacency
 (:func:`build_adjacency`), the form the python engines build.  The numpy
 engines hand theirs over as two edge arrays to :func:`match_edges`,
-whose CSF runs over CSR arrays with a degree bucket queue and picks
-exactly what :func:`cover_smallest_first` picks, in the same order.
+whose CSF picks exactly what :func:`cover_smallest_first` picks, in the
+same order: the isolated edges in bulk, the rest over CSR arrays with a
+degree bucket queue.  Their first fit is :func:`first_fit` over an edge
+sequence, which walks only the edges that share an end.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ __all__ = [
     "build_adjacency",
     "cover_smallest_first",
     "match_edges",
+    "first_fit",
     "hopcroft_karp",
     "greedy_first_fit",
     "get_matcher",
@@ -211,8 +214,11 @@ def match_edges(
     of ``A``; the edges may come in any order and repeat.  Returns the
     selected pairs' ``b`` and ``a`` ids as two int64 arrays, in the
     order ``get_matcher(matcher)(*build_adjacency(pairs))`` returns
-    them.  ``hopcroft_karp`` and ``greedy`` run exactly that; ``csf``
-    builds no dict and covers over CSR arrays (:func:`_cover_csr`).
+    them.  ``hopcroft_karp`` runs exactly that.  ``csf`` and ``greedy``
+    build no dict: both take the distinct edges in ``(b, a)`` order,
+    ``greedy`` runs :func:`first_fit` over them, and ``csf`` picks every
+    isolated edge (no other edge at either end) in bulk and covers only
+    the rest over CSR arrays (:func:`_cover_edges`).
 
     A graph laid out from disjoint ones (no id shared across them, each
     one's ids in its own order) is matched as each one alone would be:
@@ -222,7 +228,7 @@ def match_edges(
     """
     rows_b = np.asarray(rows_b, dtype=np.int64)
     rows_a = np.asarray(rows_a, dtype=np.int64)
-    if matcher != "csf":
+    if matcher not in ("csf", "greedy"):
         pairs = get_matcher(matcher)(*build_adjacency(zip(rows_b.tolist(), rows_a.tolist())))
         picked = np.array(pairs, dtype=np.int64).reshape(-1, 2)
         return picked[:, 0], picked[:, 1]
@@ -231,47 +237,146 @@ def match_edges(
     low_b, low_a = int(rows_b.min()), int(rows_a.min())
     span_a = int(rows_a.max()) - low_a + 1
     if (int(rows_b.max()) - low_b + 1) * span_a > _INT64_MAX:
-        # Ids too sparse for one int64 edge key: cover their ranks.
+        # Ids too sparse for one int64 edge key: match their ranks.
         ids_b, ids_a = np.sort(rows_b), np.sort(rows_a)
         picked_b, picked_a = match_edges(
-            np.searchsorted(ids_b, rows_b), np.searchsorted(ids_a, rows_a)
+            np.searchsorted(ids_b, rows_b), np.searchsorted(ids_a, rows_a), matcher
         )
         return ids_b[picked_b], ids_a[picked_a]
-    ids_b, ids_a, indptr, adjacency = _csr(rows_b - low_b, rows_a - low_a, span_a)
-    users, partners = _cover_csr(indptr, adjacency)
-    on_b = users < ids_b.size
-    vertex_b = np.where(on_b, users, partners)
-    vertex_a = np.where(on_b, partners, users) - ids_b.size
-    return ids_b[vertex_b] + low_b, ids_a[vertex_a] + low_a
-
-
-def _csr(
-    rows_b: np.ndarray, rows_a: np.ndarray, span_a: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The bipartite graph of non-negative edge arrays, ``rows_a`` below
-    ``span_a``, as CSR adjacency.
-
-    Vertices are ``B``'s distinct ids ascending, then ``A``'s; vertex
-    ``v``'s neighbours are ``adjacency[indptr[v]:indptr[v + 1]]``,
-    ascending, each edge once.  Returns ``(ids_b, ids_a, indptr,
-    adjacency)``, the ids being the vertices' own.
-    """
-    # One sort of the (b, a) keys orders the distinct edges by b, then
-    # a; one stable argsort of their a ids orders them by a, then b.
-    # Both are stable argsorts, the kernel the MinMax encoder already
-    # runs: np.sort's own kernel adds about 0.3 MB of resident code.
-    keys = rows_b * span_a + rows_a
+    # One stable argsort of the (b, a) keys orders the distinct edges by
+    # b, then a; it is the kernel the MinMax encoder already runs, where
+    # np.sort's own kernel adds about 0.3 MB of resident code.
+    keys = (rows_b - low_b) * span_a + (rows_a - low_a)
     keys = keys[np.argsort(keys, kind="stable")]
-    keys = keys[_runs(keys)[0]]
-    edge_b, edge_a = np.divmod(keys, span_a)
+    edge_b, edge_a = np.divmod(keys[_runs(keys)[0]], span_a)
+    if matcher == "greedy":
+        taken = first_fit(edge_b, edge_a)
+        edge_b, edge_a = edge_b[taken], edge_a[taken]
+    else:
+        edge_b, edge_a = _cover_edges(edge_b, edge_a)
+    return edge_b + low_b, edge_a + low_a
+
+
+def first_fit(
+    rows_b: np.ndarray, rows_a: np.ndarray, used_a: np.ndarray | None = None
+) -> np.ndarray:
+    """The edges first fit takes from a sequence: their indices, ascending.
+
+    Edge ``k`` joins ``rows_b[k]`` and ``rows_a[k]``.  Walking the edges
+    in order, first fit takes each edge whose two ends are both still
+    free, and they are then used.  ``used_a``, a boolean array indexed
+    by ``a`` id, marks the ``a`` ends used before the call and receives
+    its picks, so pieces of a sequence that share no ``b`` pick what one
+    walk over it would.
+
+    Only a live edge (its ``a`` free at the start) can be taken, and a
+    live edge that shares neither end with another live edge is taken
+    wherever it stands: nothing before it can use its ends, and taking
+    it uses no end of another.  So only the other live edges are walked
+    one by one.  Ends are counted over the live edges' own id range.
+    """
+    if used_a is None:
+        index = np.arange(rows_b.size)
+    else:
+        index = np.flatnonzero(~used_a[rows_a])
+    if index.size == 0:
+        return index
+    ends_b, ends_a = rows_b[index], rows_a[index]
+    taken = _once(ends_b) & _once(ends_a)
+    contested = np.flatnonzero(~taken)
+    if contested.size:
+        taken[contested[_walk(ends_b[contested], ends_a[contested])]] = True
+    taken = index[taken]
+    if used_a is not None:
+        used_a[rows_a[taken]] = True
+    return taken
+
+
+def _walk(rows_b: np.ndarray, rows_a: np.ndarray) -> list[int]:
+    """First fit one edge at a time: the indices ``k`` of the edges
+    ``(rows_b[k], rows_a[k])`` it takes, in order."""
+    seen_b: set[int] = set()
+    seen_a: set[int] = set()
+    taken: list[int] = []
+    for k, b, a in zip(range(rows_b.size), rows_b.tolist(), rows_a.tolist()):
+        if b not in seen_b and a not in seen_a:
+            seen_b.add(b)
+            seen_a.add(a)
+            taken.append(k)
+    return taken
+
+
+def _once(ids: np.ndarray) -> np.ndarray:
+    """Whether each of the (non-empty) ``ids`` occurs only once in them.
+
+    Counted over the ids' own range, or by a stable argsort when that
+    range is much wider than the ids are many.
+    """
+    low = int(ids.min())
+    span = int(ids.max()) - low + 1
+    if span <= 4 * ids.size + 1024:
+        shifted = ids - low
+        return np.bincount(shifted)[shifted] == 1
+    order = np.argsort(ids, kind="stable")
+    ordered = ids[order]
+    # distinct[i]: sorted id i differs from the one before it.
+    distinct = np.ones(ids.size + 1, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=distinct[1:-1])
+    once = np.empty(ids.size, dtype=bool)
+    once[order] = distinct[:-1] & distinct[1:]
+    return once
+
+
+def _cover_edges(
+    edge_b: np.ndarray, edge_a: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """CSF over distinct edges in ``(b, a)`` order: the picks' ``b`` and
+    ``a`` ids, in cover order.
+
+    The graph becomes CSR adjacency: vertices are ``B``'s distinct ids
+    ascending, then ``A``'s, and vertex ``v``'s neighbours are
+    ``adjacency[indptr[v]:indptr[v + 1]]``, ascending.  An isolated edge
+    (both ends of degree 1) is its own component, so :func:`_cover_csr`
+    covers only the rest, and the isolated edges are merged into its
+    picks by CSF's own order.  An isolated edge's ``b`` keeps 1
+    remaining until CSF picks it, from that end (``B`` numbers first),
+    and picking it changes no other count.  So it is picked just before
+    the first pick of the rest that CSF ranks after it: one made at a
+    higher degree, or at degree 1 from a higher-numbered vertex.  With
+    each degree-1 pick ranked by its user's number and every other
+    above all numbers, that is the first pick whose running maximum
+    rank passes the isolated ``b``'s number.
+    """
+    # One stable argsort of the a ids orders the edges by a, then b.
+    size = edge_b.size
     by_a = np.argsort(edge_a, kind="stable")
     first_b, rank_b = _runs(edge_b)
     first_a, rank_a = _runs(edge_a[by_a])
-    adjacency = np.empty(2 * keys.size, dtype=np.int64)
-    adjacency[: keys.size][by_a] = first_b.size + rank_a
-    adjacency[keys.size :] = rank_b[by_a]
-    indptr = np.concatenate([first_b, keys.size + first_a, [adjacency.size]])
-    return edge_b[first_b], edge_a[by_a][first_a], indptr, adjacency
+    n_b = first_b.size
+    if n_b == first_a.size == size:
+        return edge_b, edge_a  # every edge isolated: picked in b order
+    adjacency = np.empty(2 * size, dtype=np.int64)
+    adjacency[:size][by_a] = n_b + rank_a
+    adjacency[size:] = rank_b[by_a]
+    indptr = np.concatenate([first_b, size + first_a, [adjacency.size]])
+    degree = indptr[1:] - indptr[:-1]
+    lone_a = adjacency[first_b]  # each b's first neighbour
+    lone = np.flatnonzero((degree[:n_b] == 1) & (degree[lone_a] == 1))
+    lone_a = lone_a[lone]
+    degree[lone] = degree[lone_a] = 0
+    users, partners, degrees = _cover_csr(indptr, adjacency, degree)
+    if lone.size:
+        rank = np.where(degrees == 1, users, indptr.size)
+        at = np.searchsorted(np.maximum.accumulate(rank), lone) + np.arange(lone.size)
+        merged = np.empty((2, users.size + lone.size), dtype=np.int64)
+        rest = np.ones(merged.shape[1], dtype=bool)
+        rest[at] = False
+        merged[:, at] = lone, lone_a
+        merged[:, rest] = users, partners
+        users, partners = merged
+    on_b = users < n_b
+    ids_b, ids_a = edge_b[first_b], edge_a[by_a][first_a]
+    return ids_b[np.where(on_b, users, partners)], ids_a[np.where(on_b, partners, users) - n_b]
 
 
 def _runs(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -284,10 +389,11 @@ def _runs(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cover_csr(
-    indptr: np.ndarray, adjacency: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """CSF over CSR adjacency: each pick's user and partner vertex, in
-    cover order.
+    indptr: np.ndarray, adjacency: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSF over CSR adjacency from each vertex's remaining ``counts``
+    (its degree, or 0 to leave out its component): each pick's user and
+    partner vertex, and the user's count when picked, in cover order.
 
     Vertices are numbered in the tie order (``B``'s ids ascending, then
     ``A``'s), so :func:`cover_smallest_first`'s next user is the live
@@ -302,16 +408,17 @@ def _cover_csr(
     entry of the first non-empty bucket from ``low`` up is the next
     user, and its first neighbour with ``low`` remaining is its partner.
     """
-    remaining = np.diff(indptr).tolist()
+    remaining = counts.tolist()
     top = max(remaining)
     buckets: list[list[int]] = [[] for _ in range(top + 1)]
-    for vertex, count in enumerate(remaining):
-        buckets[count].append(vertex)  # ascending, so a valid heap
+    for vertex in np.flatnonzero(counts).tolist():
+        buckets[remaining[vertex]].append(vertex)  # ascending, so a valid heap
     starts = indptr.tolist()
     neighbours = adjacency.tolist()
     push, pop = heapq.heappush, heapq.heappop
     users: list[int] = []
     partners: list[int] = []
+    degrees: list[int] = []
     low = 1
     while low <= top:
         bucket = buckets[low]
@@ -330,6 +437,7 @@ def _cover_csr(
                     break
         users.append(user)
         partners.append(partner)
+        degrees.append(low)
         remaining[user] = remaining[partner] = 0
         for covered in (user, partner):
             for other in neighbours[starts[covered] : starts[covered + 1]]:
@@ -341,7 +449,11 @@ def _cover_csr(
                         low = count
                 elif count == 0:
                     remaining[other] = 0
-    return np.array(users, dtype=np.int64), np.array(partners, dtype=np.int64)
+    return (
+        np.array(users, dtype=np.int64),
+        np.array(partners, dtype=np.int64),
+        np.array(degrees, dtype=np.int64),
+    )
 
 
 def hopcroft_karp(matched_b: Adjacency, matched_a: Adjacency | None = None) -> Pairs:

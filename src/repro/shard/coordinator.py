@@ -467,6 +467,9 @@ class ShardCoordinator:
         """
         epsilon = validate_epsilon(epsilon)
         self._check_keys((first, second))
+        # Refused before routing, so the error is the same wherever the
+        # plan puts the two communities.
+        _same_dims([self.plan.metadata[key][1] for key in (first, second)])
         owner = self.plan.owner_of(first, second)
         if owner is None:
             if envelopes_separated(
@@ -526,6 +529,8 @@ class ShardCoordinator:
         if sorted(epsilons) != epsilons:
             raise ConfigurationError("epsilons must be given in ascending order")
         self._check_keys(key for pair in pairs for key in pair)
+        for pair in pairs:
+            _same_dims([self.plan.metadata[key][1] for key in pair])
         completed = self._load_checkpoint(checkpoint)
         resumed = 0
         missing: set[int] = set()

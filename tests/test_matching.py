@@ -4,17 +4,21 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms import minmax, superego
 from repro.algorithms.baseline import ExBaseline
-from repro.algorithms.minmax import ExMinMax
-from repro.algorithms.superego import ExSuperEGO
+from repro.algorithms.minmax import ApMinMax, ExMinMax
+from repro.algorithms.superego import ApSuperEGO, ExSuperEGO
+from repro.core import matching
 from repro.core.errors import ConfigurationError
 from repro.core.matching import (
     MATCHERS,
     build_adjacency,
     candidate_edges,
     cover_smallest_first,
+    first_fit,
     get_matcher,
     greedy_first_fit,
     hopcroft_karp,
@@ -239,8 +243,9 @@ def _dict_csf(rows_b: np.ndarray, rows_a: np.ndarray) -> list[tuple[int, int]]:
 
 
 class TestMatchEdges:
-    """The array CSF against the dict CSF, its oracle: the same pairs in
-    the same order.  The other matchers run over the dict adjacency."""
+    """The array CSF and first fit against the dict matchers, their
+    oracles: the same pairs in the same order.  Hopcroft–Karp runs over
+    the dict adjacency."""
 
     @pytest.fixture
     def engine_graphs(self, monkeypatch):
@@ -269,6 +274,8 @@ class TestMatchEdges:
     def test_components_laid_end_to_end(self, seed):
         # Graphs sharing no id, each one's ids shifted past the last
         # one's: one call, split back by graph, equals one call each.
+        # Isolated edges sit between them, as a batch of near-duplicate
+        # pairs lays them out.
         rng = np.random.default_rng(seed)
         graphs, at_b, at_a = [], 0, 0
         for _ in range(5):
@@ -277,6 +284,9 @@ class TestMatchEdges:
             rows_b, rows_a = rng.integers(0, n_b, size), rng.integers(0, n_a, size)
             graphs.append((rows_b, rows_a, at_b, at_a, n_b))
             at_b, at_a = at_b + n_b, at_a + n_a
+            for _ in range(int(rng.integers(0, 4))):
+                graphs.append((np.zeros(1, dtype=np.int64),) * 2 + (at_b, at_a, 1))
+                at_b, at_a = at_b + 1, at_a + 1
         order = rng.permutation(sum(graph[0].size for graph in graphs))
         picked_b, picked_a = match_edges(
             np.concatenate([rows_b + at_b for rows_b, _, at_b, _, _ in graphs])[order],
@@ -301,6 +311,120 @@ class TestMatchEdges:
     def test_unknown_matcher(self):
         with pytest.raises(ConfigurationError, match="unknown matcher"):
             match_edges(np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64), "magic")
+
+    @given(graph=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_isolated_edges_among_components(self, graph):
+        # Random components plus many isolated edges, every side's ids
+        # shuffled so the isolated ones fall between the others; edges
+        # shuffled and repeated, and sometimes spread past one int64
+        # key so the rank path runs.
+        n_b, n_a = graph.draw(st.integers(1, 8)), graph.draw(st.integers(1, 8))
+        contested = graph.draw(
+            st.lists(st.tuples(st.integers(0, n_b - 1), st.integers(0, n_a - 1)), max_size=30)
+        )
+        n_lone = graph.draw(st.integers(0, 25))
+        ids_b = graph.draw(st.permutations(range(n_b + n_lone)))
+        ids_a = graph.draw(st.permutations(range(n_a + n_lone)))
+        edges = [(ids_b[b], ids_a[a]) for b, a in contested]
+        edges += [(ids_b[n_b + k], ids_a[n_a + k]) for k in range(n_lone)]
+        if edges:
+            edges += graph.draw(st.lists(st.sampled_from(edges), max_size=5))
+        edges = graph.draw(st.permutations(edges))
+        spread = graph.draw(st.sampled_from([1, 2**40]))
+        rows = np.array(edges, dtype=np.int64).reshape(-1, 2) * spread
+        rows_b, rows_a = rows[:, 0], rows[:, 1]
+        assert _pairs(match_edges(rows_b, rows_a)) == _dict_csf(rows_b, rows_a)
+        expected = greedy_first_fit(*build_adjacency(zip(rows_b.tolist(), rows_a.tolist())))
+        assert _pairs(match_edges(rows_b, rows_a, "greedy")) == expected
+
+    def test_isolated_edges_matched_in_bulk(self, monkeypatch):
+        # No Python step per pick where no edge shares an end: neither
+        # the cover loop nor first fit's walk runs, in the matchers or
+        # in the engines on a pair of near-duplicates.
+        def refuse(*_args):
+            raise AssertionError("walked a graph of isolated edges")
+
+        monkeypatch.setattr(matching, "_cover_csr", refuse)
+        monkeypatch.setattr(matching, "_walk", refuse)
+        rng = np.random.default_rng(3)
+        rows_b, rows_a = rng.permutation(60) * 3, rng.permutation(60) + 7
+        expected = sorted(zip(rows_b.tolist(), rows_a.tolist()))
+        doubled = np.concatenate([rows_b, rows_b]), np.concatenate([rows_a, rows_a])
+        assert _pairs(match_edges(*doubled)) == expected
+        assert _pairs(match_edges(*doubled, "greedy")) == expected
+        assert first_fit(rows_b, rows_a).tolist() == list(range(60))
+        used_a = np.zeros(67, dtype=bool)
+        used_a[rows_a[:10]] = True
+        assert first_fit(rows_b, rows_a, used_a).tolist() == list(range(10, 60))
+        assert used_a[7:].all() and not used_a[:7].any()
+        vectors = np.arange(0, 1200, 10)[:, None] * np.ones(4, dtype=np.int64)
+        first, second = Community("B", vectors), Community("A", vectors + 1)
+        raw = {"use_normalized": False}
+        for algorithm in (ExMinMax(1), ApMinMax(1), ExSuperEGO(1, **raw), ApSuperEGO(1, **raw)):
+            assert algorithm.join(first, second).n_matched == 120
+
+
+def _walked(rows_b, rows_a, used_a) -> list[int]:
+    """First fit by a plain walk over the edges, marking used ends."""
+    used_b, taken = set(), []
+    for k, (b, a) in enumerate(zip(rows_b.tolist(), rows_a.tolist())):
+        if b not in used_b and not used_a[a]:
+            used_b.add(b)
+            used_a[a] = True
+            taken.append(k)
+    return taken
+
+
+class TestFirstFit:
+    """The first-fit helper against a plain walk over the sequence."""
+
+    @given(graph=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_a_sequential_walk_with_used_ends(self, graph):
+        # Contested edges on a few ids plus isolated ones on ids of
+        # their own, in any order; some a ends used before the call.
+        n_b, n_a = graph.draw(st.integers(1, 6)), graph.draw(st.integers(1, 6))
+        edges = graph.draw(
+            st.lists(st.tuples(st.integers(0, n_b - 1), st.integers(0, n_a - 1)), max_size=25)
+        )
+        n_lone = graph.draw(st.integers(0, 20))
+        edges += [(n_b + k, n_a + k) for k in range(n_lone)]
+        edges = graph.draw(st.permutations(edges))
+        rows = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        size = n_a + n_lone
+        used_a = np.array(graph.draw(st.lists(st.booleans(), min_size=size, max_size=size)))
+        walked_a = used_a.copy()
+        expected = _walked(rows[:, 0], rows[:, 1], walked_a)
+        assert first_fit(rows[:, 0], rows[:, 1], used_a).tolist() == expected
+        assert used_a.tolist() == walked_a.tolist()
+        free = np.zeros(size, dtype=bool)
+        assert first_fit(rows[:, 0], rows[:, 1]).tolist() == _walked(rows[:, 0], rows[:, 1], free)
+
+    def test_sequence_walked_in_pieces(self):
+        # Used a ends carried across pieces of whole b rows, as the
+        # MinMax band's blocks are, give one walk's picks.
+        rng = np.random.default_rng(8)
+        rows_b, rows_a = np.sort(rng.integers(0, 40, 300)), rng.integers(0, 40, 300)
+        bounds = np.searchsorted(rows_b, np.arange(0, 47, 7)).tolist()
+        used_a = np.zeros(40, dtype=bool)
+        taken = [
+            start + first_fit(rows_b[start:stop], rows_a[start:stop], used_a)
+            for start, stop in zip(bounds, bounds[1:])
+        ]
+        assert np.concatenate(taken).tolist() == _walked(
+            rows_b, rows_a, np.zeros(40, dtype=bool)
+        )
+
+    def test_wide_id_range(self):
+        # Ids far apart are counted by sorting, not over their range.
+        rows_b = np.array([5, 2**50, 5, 2**40], dtype=np.int64)
+        rows_a = np.array([0, 2**45, 2**45, 2**45], dtype=np.int64)
+        assert first_fit(rows_b, rows_a).tolist() == [0, 1]
+
+    def test_empty(self):
+        empty = np.zeros(0, dtype=np.int64)
+        assert first_fit(empty, empty).tolist() == []
 
 
 class TestRegistryAndHelpers:

@@ -708,8 +708,10 @@ class TestMixedDimensions:
         counters = metrics.snapshot()["counters"]
         assert counters.get("repro_shard_requests_total", 0) == 0
 
-    def test_shard_join_and_sweep(self, tmp_path, loaded):
-        partition_catalog(loaded, tmp_path / "p", 2, epsilon=1)
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    def test_shard_join_and_sweep(self, tmp_path, loaded, n_shards):
+        # One shard holds both communities; two shards split them.
+        partition_catalog(loaded, tmp_path / "p", n_shards, epsilon=1)
         metrics = MetricsRegistry()
         with ShardFleet(tmp_path / "p") as shards:
             with shards.coordinator(metrics=metrics) as coordinator:
@@ -717,5 +719,8 @@ class TestMixedDimensions:
                     coordinator.join("a", "c", epsilon=1)
                 with pytest.raises(DimensionMismatchError):
                     coordinator.sweep([("a", "c")], [0, 1])
+                # Refused whole: the joinable couple before it runs no cell.
+                with pytest.raises(DimensionMismatchError):
+                    coordinator.sweep([("a", "b"), ("a", "c")], [0, 1])
         counters = metrics.snapshot()["counters"]
         assert counters.get("repro_shard_requests_total", 0) == 0
